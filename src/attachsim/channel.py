@@ -46,8 +46,8 @@ class RttDistribution:
     def __post_init__(self):
         if self.kind not in ("constant", "lognormal", "empirical"):
             raise ConfigError(f"unknown rtt kind {self.kind!r}")
-        if self.median_ms < 0:
-            raise ConfigError("rtt median must be non-negative")
+        if self.median_ms < 0 or self.sigma < 0:
+            raise ConfigError("rtt median and sigma must be non-negative")
         if self.kind == "empirical":
             if self.samples is None or len(self.samples) == 0:
                 raise ConfigError("empirical rtt needs at least one sample")
@@ -75,10 +75,6 @@ class RttDistribution:
         checksum = hashlib.sha256(raw).hexdigest()
         values = [float(line) for line in raw.decode("ascii").split()]
         return cls.empirical(values, checksum=checksum)
-
-    @property
-    def median(self) -> float:
-        return self.median_ms
 
     def sample(self, rng: RngStream) -> float:
         if self.kind == "constant":
@@ -128,16 +124,14 @@ class OnlinePenalty:
     mean_ms: float = 460.0
     std_ms: float = 60.0
 
+    def __post_init__(self):
+        if self.mean_ms < 0 or self.std_ms < 0:
+            raise ConfigError("online penalty moments must be non-negative")
+
     def sample(self, rng: RngStream) -> float:
         if not self.enabled:
             return 0.0
         return clamped_normal(rng, self.mean_ms, self.std_ms, 0.0)
-
-
-def online_server_penalty(enabled: bool, mean_ms: float = 460.0,
-                          std_ms: float = 60.0) -> OnlinePenalty:
-    """Duration distribution added once per attach to the transfer total."""
-    return OnlinePenalty(enabled=enabled, mean_ms=mean_ms, std_ms=std_ms)
 
 
 @dataclass(frozen=True)
@@ -171,8 +165,9 @@ class SimChannel:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ConfigError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ConfigError("loss_prob must be within [0, 1]")
+        if not 0.0 <= self.loss_prob < 1.0:
+            # at 1.0 no packet is ever delivered, so a session never ends
+            raise ConfigError("loss_prob must be within [0, 1)")
         if self.sessions_auth < 0 or self.packets_per_session < 0:
             raise ConfigError("session and packet counts must be non-negative")
         if self.retransmit_timeout_ms <= 0:
@@ -324,29 +319,33 @@ def min_transfer_floor(channel: SimChannel) -> float:
     median RTT.  Only defined for the relay transports."""
     if not channel.is_remote:
         raise ConfigError("transfer floor is defined for remote channels only")
-    return 2.0 * channel.rtt.median
+    return 2.0 * channel.rtt.median_ms
 
 
-def calibrate_processing(channel: SimChannel, target_mean_ms: float,
-                         n: int = 4096, entropy: int = 0x5EED) -> SimChannel:
+CALIBRATION_DRAWS = 4096
+CALIBRATION_ENTROPY = 0x5EED
+
+
+def calibrate_processing(channel: SimChannel, target_mean_ms: float
+                         ) -> SimChannel:
     """Scale processing phases so mean elapsed time hits a measured target.
 
     Transfer time is fixed by the transport parameters; processing moments
-    are scaled by a single factor estimated from n draws on an internal
-    fixed-seed stream, so the result is deterministic and independent of
-    scenario seeds.
+    are scaled by a single factor estimated from CALIBRATION_DRAWS draws on
+    an internal fixed-seed stream, so the result is deterministic and
+    independent of scenario seeds.
     """
     if not channel.is_remote:
         raise ConfigError("calibration applies to remote channels only")
-    rng = RngStream(entropy)
+    rng = RngStream(CALIBRATION_ENTROPY)
     transfer_sum = 0.0
     processing_sum = 0.0
-    for _ in range(n):
+    for _ in range(CALIBRATION_DRAWS):
         bd = auth_channel_elapsed(channel, rng)
         transfer_sum += bd.transfer_total_ms
         processing_sum += bd.processing_total_ms
-    mean_transfer = transfer_sum / n
-    mean_processing = processing_sum / n
+    mean_transfer = transfer_sum / CALIBRATION_DRAWS
+    mean_processing = processing_sum / CALIBRATION_DRAWS
     if mean_processing <= 0.0:
         raise ConfigError("cannot calibrate a channel with no processing time")
     scale = (target_mean_ms - mean_transfer) / mean_processing

@@ -7,17 +7,28 @@ device, 1 for any configuration, parse, or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .core import ConfigError, EmptyWindow, MalformedRecord, ParseError
+from .core import (
+    ConfigError,
+    DegenerateInput,
+    EmptyWindow,
+    MalformedRecord,
+    ParseError,
+)
 from .fleet import builtin_profiles
-from .monitor import DetectPolicy, Decision
-from .scenario import emit_distribution, load_config, run_detection, run_scenario
+from .monitor import Decision
+from .scenario import (
+    emit_distribution,
+    load_config,
+    load_policy,
+    run_detection,
+    run_scenario,
+)
 
-_USER_ERRORS = (ConfigError, ParseError, MalformedRecord, EmptyWindow, OSError)
+_USER_ERRORS = (ConfigError, ParseError, MalformedRecord, EmptyWindow,
+                DegenerateInput, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,22 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--list", action="store_true", help="print the table")
 
     return parser
-
-
-def load_policy(path: str | Path | None) -> DetectPolicy:
-    if path is None:
-        return DetectPolicy()
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: policy must be an object")
-    unknown = set(raw) - {"critical", "statistic"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown policy keys {sorted(unknown)}")
-    return DetectPolicy(critical=float(raw.get("critical", 1.65)),
-                        statistic=str(raw.get("statistic", "welch")))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

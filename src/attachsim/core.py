@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,6 +30,48 @@ class EmptyWindow(ValueError):
 
 class DegenerateInput(ValueError):
     """Statistic undefined for the given inputs."""
+
+
+_JSON_TYPES = {float: "a finite number", int: "an integer", bool: "a boolean",
+               str: "a string", list: "an array", dict: "an object",
+               (str, dict): "a name or an object"}
+
+
+def read_value(value, kind, ctx: str):
+    """`value` as the JSON type `kind` (a key of _JSON_TYPES), uncoerced.
+
+    `float` takes a finite number, never a string, NaN or Infinity; `int`
+    takes an integral number (2.0 but not 1.7); only `bool` takes true or
+    false.
+    """
+    if isinstance(value, bool) is (kind is bool):
+        if kind is float and isinstance(value, (int, float)) \
+                and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if kind is not float and isinstance(value, kind):
+            return value
+    raise ConfigError(f"{ctx}: expected {_JSON_TYPES[kind]}, got {value!r:.40}")
+
+
+def read_section(raw, ctx: str, schema: dict, required=()) -> dict:
+    """Checked copy of one JSON object of a config document.
+
+    Fail-closed: anything but an object, a key outside `schema`, a missing
+    `required` key, or a value that is not its schema type (see
+    read_value) raises ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {raw!r:.40}")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+    return {key: read_value(value, schema[key], f"{ctx} {key}")
+            for key, value in raw.items()}
 
 
 # Timestamps and per-step latencies live on a 2**-10 ms lattice.  Lattice

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import channel as chan
 from .aka import XOR_TEST, AuthAlgorithm, SubscriberKey
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, read_section
 from .protocol import ATTACH_SEQUENCE, OPTIONAL_STEPS, AttachStep
 
 _SENSITIVITY_RANGE = (-130.0, -60.0)
@@ -67,22 +67,14 @@ class TransmissionModel:
     def __post_init__(self):
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ConfigError("outlier probability must be within [0, 1]")
-        if self.median_ms < 0 or self.outlier_max_ms < 0:
-            raise ConfigError("transmission latencies must be non-negative")
+        if min(self.median_ms, self.sigma, self.outlier_max_ms) < 0:
+            raise ConfigError("transmission moments must be non-negative")
 
     def sample(self, rng: RngStream) -> float:
         value = self.median_ms * float(np.exp(rng.normal(0.0, self.sigma)))
         if rng.random() < self.outlier_prob:
             value += rng.uniform(0.0, self.outlier_max_ms)
         return value
-
-
-def transmission_latency(env: RadioEnvironment, rng: RngStream,
-                         model: TransmissionModel | None = None) -> float:
-    """Sample the radio-leg latency; distribution does not depend on env."""
-    if not isinstance(env, RadioEnvironment):
-        raise ConfigError("transmission latency requires a RadioEnvironment")
-    return (model or TransmissionModel()).sample(rng)
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,9 @@ class DeviceProfile:
         missing = [s.name for s in self.enabled_steps if s not in self.step_latency]
         if missing:
             raise ConfigError(f"{self.name}: no latency entry for {missing}")
+        if any(std < 0 for _, std in (*self.step_latency.values(),
+                                      (0.0, self.auth_alg.latency_std_ms))):
+            raise ConfigError(f"{self.name}: a latency std is negative")
         if self.subscriber_key is None:
             # stable per-profile default key
             digest = hashlib.sha256(self.name.encode()).digest()
@@ -255,59 +250,61 @@ def builtin_profiles() -> dict[str, DeviceProfile]:
     return out
 
 
-def _parse_rtt(spec: dict) -> chan.RttDistribution:
-    kind = spec.get("kind")
-    known = {"kind", "value", "median", "sigma", "path"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ConfigError(f"unknown rtt keys {sorted(unknown)}")
-    if kind == "constant":
-        return chan.RttDistribution.constant(float(spec["value"]))
-    if kind == "lognormal":
-        return chan.RttDistribution.lognormal(
-            float(spec["median"]), float(spec.get("sigma", 0.35)))
-    if kind == "empirical":
-        return chan.RttDistribution.from_file(spec["path"])
-    raise ConfigError(f"unknown rtt kind {kind!r}")
+_RTT_SCHEMA = {"kind": str, "value": float, "median": float, "sigma": float,
+               "path": str}
 
 
-_CHANNEL_KEYS = {
-    chan.COUPLED_SERIAL: {"serial_mean_ms", "serial_std_ms", "sessions_auth"},
-    chan.REMOTE_TCP: {"rtt", "sessions_auth", "packets_per_session",
-                      "ack_cost_ms", "online"},
-    chan.REMOTE_UDP: {"rtt", "sessions_auth", "packets_per_session",
-                      "loss_prob", "retransmit_timeout_ms", "online"},
+def _parse_rtt(raw: dict, ctx: str) -> chan.RttDistribution:
+    spec = read_section(raw, ctx, _RTT_SCHEMA, required={"kind"})
+    kind = spec["kind"]
+    try:
+        if kind == "constant":
+            return chan.RttDistribution.constant(spec["value"])
+        if kind == "lognormal":
+            return chan.RttDistribution.lognormal(spec["median"],
+                                                  spec.get("sigma", 0.35))
+        if kind == "empirical":
+            return chan.RttDistribution.from_file(spec["path"])
+    except KeyError as exc:
+        raise ConfigError(f"{ctx}: missing key {exc} for kind {kind!r}") from None
+    raise ConfigError(f"{ctx}: unknown rtt kind {kind!r}")
+
+
+_CHANNEL_SCHEMA = {
+    chan.COUPLED_SERIAL: {"serial_mean_ms": float, "serial_std_ms": float,
+                          "sessions_auth": int},
+    chan.REMOTE_TCP: {"rtt": dict, "online": dict, "sessions_auth": int,
+                      "packets_per_session": int, "ack_cost_ms": float},
+    chan.REMOTE_UDP: {"rtt": dict, "online": dict, "sessions_auth": int,
+                      "packets_per_session": int, "loss_prob": float,
+                      "retransmit_timeout_ms": float},
 }
+_ONLINE_SCHEMA = {"enabled": bool, "mean_ms": float, "std_ms": float}
+
+
+def channel_overrides(kind: str, raw: dict, ctx: str) -> dict:
+    """Constructor kwargs for a `kind` channel from its `channels` section."""
+    kwargs = read_section(raw, ctx, _CHANNEL_SCHEMA[kind])
+    if "rtt" in kwargs:
+        kwargs["rtt"] = _parse_rtt(kwargs["rtt"], f"{ctx} rtt")
+    if "online" in kwargs:
+        # a present section switches the penalty on unless it says otherwise
+        kwargs["online"] = chan.OnlinePenalty(**{"enabled": True, **read_section(
+            kwargs["online"], f"{ctx} online", _ONLINE_SCHEMA)})
+    return kwargs
 
 
 def channel_for(profile: DeviceProfile, overrides: dict | None = None,
                 calibrate: bool = True) -> chan.SimChannel:
     """Build (and optionally calibrate) the SIM channel a profile expects.
 
+    `overrides` is the profile's `channels.<kind>` config section.
     Calibration scales the remote channel's processing phases so that the
     simulated mean authentication latency lands on the profile's target.
     """
     kind = profile.channel_kind
-    kwargs: dict = {}
-    if overrides:
-        allowed = _CHANNEL_KEYS[kind]
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown channel keys for {kind}: {sorted(unknown)}")
-        kwargs = dict(overrides)
-        if "rtt" in kwargs:
-            kwargs["rtt"] = _parse_rtt(kwargs["rtt"])
-        if "online" in kwargs:
-            online = dict(kwargs["online"])
-            unknown = set(online) - {"enabled", "mean_ms", "std_ms"}
-            if unknown:
-                raise ConfigError(f"unknown online keys {sorted(unknown)}")
-            kwargs["online"] = chan.online_server_penalty(
-                bool(online.get("enabled", True)),
-                float(online.get("mean_ms", 460.0)),
-                float(online.get("std_ms", 60.0)))
-    built = chan.build_channel(kind, **kwargs)
+    built = chan.build_channel(
+        kind, **channel_overrides(kind, overrides or {}, f"channels {kind}"))
     if calibrate and built.is_remote and profile.calibration_target_ms is not None:
         built = chan.calibrate_processing(built, profile.calibration_target_ms)
     return built

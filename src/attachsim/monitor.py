@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import stdtr
 
 from .core import ConfigError, DegenerateInput, EmptyWindow, MalformedRecord
 from .core import RngStream, TIME_QUANTUM_MS, quantize_ms
@@ -88,8 +88,8 @@ class DetectPolicy:
     statistic: str = "welch"  # "double" selects the double-normalized form
 
     def __post_init__(self):
-        if self.critical <= 0:
-            raise ConfigError("critical threshold must be positive")
+        if not 0.0 < self.critical < math.inf:
+            raise ConfigError("critical threshold must be positive and finite")
         if self.statistic not in ("welch", "double"):
             raise ConfigError("statistic must be 'welch' or 'double'")
 
@@ -145,21 +145,6 @@ def aggregate_auth_latency(samples: Iterable[LatencySample], device_id: str,
     return LatencyStats.from_samples(values)
 
 
-def _student_sf(t: float, df: float) -> float:
-    """One-sided upper tail of Student's t.
-
-    Regularized incomplete beta for moderate df; for df above 200 the
-    distribution is indistinguishable from normal at our precision, so the
-    erfc form is used (it also degrades gracefully for huge t).
-    """
-    if t < 0:
-        return 1.0 - _student_sf(-t, df)
-    if df > 200.0:
-        return 0.5 * math.erfc(t / math.sqrt(2.0))
-    x = df / (df + t * t)
-    return 0.5 * float(betainc(df / 2.0, 0.5, x))
-
-
 def welch_t(group_a: LatencyStats, group_b: LatencyStats,
             critical: float = 1.65) -> TTestResult:
     """Two-sample separation test on summary statistics.
@@ -187,7 +172,7 @@ def welch_t(group_a: LatencyStats, group_b: LatencyStats,
     df = df_num / df_den
     return TTestResult(se=se, t=t_val, critical=critical,
                        t_ratio=t_val / critical,
-                       p_value=_student_sf(t_welch_val, df),
+                       p_value=float(stdtr(df, -t_welch_val)),
                        t_welch=t_welch_val, df=df)
 
 

@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 UPLINK = "Uplink"
 DOWNLINK = "Downlink"
 
-DEFAULT_AUTH_TIMER_MS = 6000.0
-
 # Sampled step latencies never drop below 0.1 ms (rounded up to the lattice).
 STEP_FLOOR_MS = 0.1
 _STEP_FLOOR_Q = quantize_ceil_ms(STEP_FLOOR_MS)
@@ -68,13 +66,12 @@ OPTIONAL_STEPS: frozenset[AttachStep] = frozenset({
     AttachStep.EsmInfoRequest,
     AttachStep.EsmInfoResponse,
 })
-MANDATORY_STEPS: frozenset[AttachStep] = frozenset(ATTACH_SEQUENCE) - OPTIONAL_STEPS
 
 
 def step_named(name: str) -> AttachStep:
     try:
         return AttachStep[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown attach step {name!r}") from None
 
 
@@ -140,7 +137,7 @@ class ValidationReport:
 class NetworkConfig:
     """Network-side knobs for one scenario."""
 
-    auth_timer_ms: float = DEFAULT_AUTH_TIMER_MS
+    auth_timer_ms: float = 6000.0  # authentication supervision timer
     # RSRP-independent over-the-air component added to the authentication
     # step; anything with sample(rng) -> float fits (see fleet.TransmissionModel).
     transmission: object | None = None
@@ -148,13 +145,6 @@ class NetworkConfig:
     def __post_init__(self):
         if self.auth_timer_ms <= 0:
             raise ConfigError("authentication timer must be positive")
-
-
-def network_auth_timer(network: NetworkConfig | None = None) -> float:
-    """Authentication supervision timer in milliseconds (default 6000)."""
-    if network is None:
-        return DEFAULT_AUTH_TIMER_MS
-    return network.auth_timer_ms
 
 
 def _sample_step_ms(rng: RngStream, mean: float, std: float) -> float:
@@ -223,7 +213,7 @@ def run_attach(profile: "DeviceProfile", channel: SimChannel,
                 latency = _STEP_FLOOR_Q
             clock.advance(latency)
             emit(step)
-            if latency > network_auth_timer(network):
+            if latency > network.auth_timer_ms:
                 outcome = Outcome.AuthTimeout
                 break
             continue

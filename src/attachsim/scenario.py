@@ -1,15 +1,17 @@
 """Scenario configuration, batch simulation, log export, and detection runs.
 
 Configs are versioned JSON documents validated fail-closed: any key the
-schema does not know is an error.  All artifacts are deterministic
-functions of (config, seed): logs are merged in (time, device, step)
-order, report rows are sorted by device, and floats are rendered through
-fixed formats, so reruns are byte-identical.
+schema does not know, and any value of the wrong JSON type, is an error.
+All artifacts are deterministic functions of (config, seed): logs are
+merged in (time, device, step) order, report rows are sorted by device,
+and floats are rendered through fixed formats, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -17,8 +19,16 @@ import numpy as np
 
 from . import monitor
 from .aka import SubscriberKey, algorithm_named
-from .channel import SimChannel
-from .core import ConfigError, EmptyWindow, EventClock, ParseError, RngStream
+from .channel import CHANNEL_KINDS, SimChannel, build_channel
+from .core import (
+    ConfigError,
+    EmptyWindow,
+    EventClock,
+    ParseError,
+    RngStream,
+    read_section,
+    read_value,
+)
 from .fleet import (
     CampDecision,
     DeviceProfile,
@@ -27,6 +37,7 @@ from .fleet import (
     attempt_camp,
     builtin_profiles,
     channel_for,
+    channel_overrides,
 )
 from .monitor import (
     DetectPolicy,
@@ -50,15 +61,6 @@ from .protocol import (
 )
 
 DAY_MS = 86_400_000.0
-
-
-def _check_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -91,109 +93,99 @@ class ScenarioConfig:
             raise ConfigError("fleet must not be empty")
         if self.attaches_per_device < 1:
             raise ConfigError("attaches_per_device must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
-def _parse_inline_profile(raw: dict) -> DeviceProfile:
-    ctx = f"inline profile {raw.get('name', '?')!r}"
-    _check_keys(raw, {"name", "steps", "optional_steps", "channel_kind",
-                      "sensitivity_rsrp", "calibration_target_ms",
-                      "auth_algorithm", "subscriber_key"},
-                {"name", "steps", "channel_kind", "sensitivity_rsrp"}, ctx)
-    steps: dict[AttachStep, tuple[float, float]] = {}
-    for name, pair in raw["steps"].items():
-        if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-            raise ConfigError(f"{ctx}: step {name} needs [mean, std]")
-        steps[step_named(name)] = (float(pair[0]), float(pair[1]))
-    optional = frozenset(step_named(n) for n in raw.get("optional_steps", []))
-    alg = None
-    if "auth_algorithm" in raw:
-        spec = raw["auth_algorithm"]
-        _check_keys(spec, {"name", "latency_mean_ms", "latency_std_ms"},
-                    {"name"}, f"{ctx} auth_algorithm")
-        alg = algorithm_named(spec["name"],
-                              float(spec.get("latency_mean_ms", 0.0)),
-                              float(spec.get("latency_std_ms", 0.0)))
-    key = None
-    if "subscriber_key" in raw:
-        key = SubscriberKey.from_hex(raw["subscriber_key"])
-    kwargs = dict(
-        name=str(raw["name"]), step_latency=steps, optional_steps=optional,
-        channel_kind=str(raw["channel_kind"]),
-        sensitivity_rsrp=float(raw["sensitivity_rsrp"]),
-        calibration_target_ms=(float(raw["calibration_target_ms"])
-                               if "calibration_target_ms" in raw else None))
-    if alg is not None:
-        kwargs["auth_alg"] = alg
-    if key is not None:
-        kwargs["subscriber_key"] = key
-    return DeviceProfile(**kwargs)
+_PROFILE_SCHEMA = {"name": str, "steps": dict, "optional_steps": list,
+                   "channel_kind": str, "sensitivity_rsrp": float,
+                   "calibration_target_ms": float, "auth_algorithm": dict,
+                   "subscriber_key": str}
+_ALGORITHM_SCHEMA = {"name": str, "latency_mean_ms": float,
+                     "latency_std_ms": float}
+_TRANSMISSION_SCHEMA = dict.fromkeys(
+    ("median_ms", "sigma", "outlier_prob", "outlier_max_ms"), float)
+_CONFIG_SCHEMA = {"version": int, "seed": int, "fleet": list,
+                  "rsrp_dbm": float, "attaches_per_device": int,
+                  "day_span_ms": float, "min_spacing_ms": float,
+                  "auth_timer_ms": float, "calibrate": bool, "channels": dict,
+                  "transmission": dict, "detect": dict}
+
+
+def _parse_inline_profile(raw: dict, ctx: str) -> DeviceProfile:
+    spec = read_section(raw, ctx, _PROFILE_SCHEMA, required={
+        "name", "steps", "channel_kind", "sensitivity_rsrp"})
+    steps = read_section(spec.pop("steps"), f"{ctx} steps",
+                         dict.fromkeys(AttachStep.__members__, list))
+    spec["step_latency"] = {}
+    for name, pair in steps.items():
+        if len(pair) != 2:
+            raise ConfigError(f"{ctx} steps {name}: expected [mean, std]")
+        spec["step_latency"][AttachStep[name]] = tuple(
+            read_value(v, float, f"{ctx} steps {name}") for v in pair)
+    spec["optional_steps"] = frozenset(
+        step_named(n) for n in spec.get("optional_steps", ()))
+    if "auth_algorithm" in spec:
+        spec["auth_alg"] = algorithm_named(**read_section(
+            spec.pop("auth_algorithm"), f"{ctx} auth_algorithm",
+            _ALGORITHM_SCHEMA, required={"name"}))
+    if "subscriber_key" in spec:
+        spec["subscriber_key"] = SubscriberKey.from_hex(spec["subscriber_key"])
+    return DeviceProfile(**spec)
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_config(raw, ctx=str(path))
+    return parse_config(_read_json(path), ctx=str(path))
+
+
+def load_policy(path: str | Path | None) -> DetectPolicy:
+    """The detection policy in a JSON file; the default one without a file."""
+    if path is None:
+        return DetectPolicy()
+    return _parse_policy(_read_json(path), ctx=str(path))
+
+
+def _parse_policy(raw: dict, ctx: str) -> DetectPolicy:
+    return DetectPolicy(**read_section(raw, ctx, {"critical": float,
+                                                  "statistic": str}))
 
 
 def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ctx}: document must be an object")
-    _check_keys(raw, {"version", "seed", "fleet", "rsrp_dbm",
-                      "attaches_per_device", "day_span_ms", "min_spacing_ms",
-                      "auth_timer_ms", "calibrate", "channels", "transmission",
-                      "detect"},
-                {"version", "seed", "fleet"}, ctx)
-    if raw["version"] != 1:
-        raise ConfigError(f"{ctx}: unsupported config version {raw['version']!r}")
+    spec = read_section(raw, ctx, _CONFIG_SCHEMA,
+                        required={"version", "seed", "fleet"})
+    version = spec.pop("version")
+    if version != 1:
+        raise ConfigError(f"{ctx}: unsupported config version {version!r}")
 
     entries = []
-    for i, item in enumerate(raw["fleet"]):
+    for i, item in enumerate(spec["fleet"]):
         ectx = f"{ctx} fleet[{i}]"
-        _check_keys(item, {"profile", "count", "wrong_key"}, {"profile", "count"},
-                    ectx)
-        profile = item["profile"]
-        if isinstance(profile, dict):
-            profile = _parse_inline_profile(profile)
-        elif not isinstance(profile, str):
-            raise ConfigError(f"{ectx}: profile must be a name or an object")
-        entries.append(FleetEntry(profile=profile, count=int(item["count"]),
-                                  wrong_key=bool(item.get("wrong_key", False))))
+        entry = read_section(item, ectx, {"profile": (str, dict), "count": int,
+                                          "wrong_key": bool},
+                             required={"profile", "count"})
+        if isinstance(entry["profile"], dict):
+            entry["profile"] = _parse_inline_profile(entry["profile"],
+                                                     f"{ectx} profile")
+        entries.append(FleetEntry(**entry))
+    spec["fleet"] = tuple(entries)
 
-    tx_kwargs = {}
-    if "transmission" in raw:
-        _check_keys(raw["transmission"],
-                    {"median_ms", "sigma", "outlier_prob", "outlier_max_ms"},
-                    set(), f"{ctx} transmission")
-        tx_kwargs = {k: float(v) for k, v in raw["transmission"].items()}
-
-    detect = DetectPolicy()
-    if "detect" in raw:
-        _check_keys(raw["detect"], {"critical", "statistic"}, set(),
-                    f"{ctx} detect")
-        detect = DetectPolicy(
-            critical=float(raw["detect"].get("critical", 1.65)),
-            statistic=str(raw["detect"].get("statistic", "welch")))
-
-    channels = raw.get("channels", {})
-    for kind in channels:
-        if kind not in ("coupled_serial", "remote_tcp", "remote_udp"):
-            raise ConfigError(f"{ctx}: unknown channel section {kind!r}")
-
-    return ScenarioConfig(
-        seed=int(raw["seed"]),
-        fleet=tuple(entries),
-        rsrp_dbm=float(raw.get("rsrp_dbm", -71.0)),
-        attaches_per_device=int(raw.get("attaches_per_device", 50)),
-        day_span_ms=float(raw.get("day_span_ms", DAY_MS)),
-        min_spacing_ms=float(raw.get("min_spacing_ms", 10_000.0)),
-        auth_timer_ms=float(raw.get("auth_timer_ms", 6000.0)),
-        calibrate=bool(raw.get("calibrate", True)),
-        channels=dict(channels),
-        transmission=TransmissionModel(**tx_kwargs),
-        detect=detect,
-    )
+    channels = read_section(spec.get("channels", {}), f"{ctx} channels",
+                            dict.fromkeys(CHANNEL_KINDS, dict))
+    for kind, section in channels.items():  # built only to be checked
+        build_channel(kind, **channel_overrides(kind, section,
+                                                f"{ctx} channels {kind}"))
+    spec["transmission"] = TransmissionModel(**read_section(
+        spec.get("transmission", {}), f"{ctx} transmission",
+        _TRANSMISSION_SCHEMA))
+    spec["detect"] = _parse_policy(spec.get("detect", {}), f"{ctx} detect")
+    return ScenarioConfig(**spec)
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,7 @@ def _resolve_profile(entry: FleetEntry, catalog: dict[str, DeviceProfile]
                               f"{sorted(catalog)}")
         profile = catalog[entry.profile]
     else:
-        profile = _parse_inline_profile(entry.profile)
+        profile = _parse_inline_profile(entry.profile, "inline profile")
     if entry.wrong_key:
         profile = replace(profile, auth_misconfigured=True)
     return profile
@@ -357,6 +349,9 @@ def _write_summary(path: Path, records: dict[str, list[AttachRecord]],
 
 
 _LOG_KEYS = {"time", "layer", "direction", "device_id", "message"}
+# JSON integers decode as floats, so an over-long integer time becomes inf
+# and is rejected below instead of overflowing a later float conversion.
+_LOG_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
@@ -396,7 +391,7 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
             if not line:
                 raise ParseError("blank line", lineno)
             try:
-                obj = json.loads(line)
+                obj = _LOG_DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
             if not isinstance(obj, dict) or set(obj) != _LOG_KEYS:
@@ -412,13 +407,14 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
             if obj["direction"] != step.direction:
                 raise ParseError(
                     f"{step.name} must be {step.direction}", lineno)
-            try:
-                time = float(obj["time"])
-            except (TypeError, ValueError):
-                raise ParseError(f"bad time {obj['time']!r}", lineno) from None
+            time = obj["time"]
+            if type(time) is not float or not time < math.inf:
+                raise ParseError(f"bad time {time!r}", lineno)
             if time < 0:
                 raise ParseError("negative timestamp", lineno)
-            device_id = str(obj["device_id"])
+            device_id = obj["device_id"]
+            if type(device_id) is not str:
+                raise ParseError(f"bad device_id {device_id!r}", lineno)
             msg = SignalingMessage(time=time, direction=str(obj["direction"]),
                                    device_id=device_id, message=step.name)
 

@@ -15,7 +15,6 @@ from attachsim import (
     calibrate_processing,
     coupled_serial,
     min_transfer_floor,
-    online_server_penalty,
     remote_tcp,
     remote_udp,
     transfer_session,
@@ -35,14 +34,14 @@ def test_rtt_constant():
     rtt = RttDistribution.constant(3.5)
     rng = RngStream(0)
     assert [rtt.sample(rng) for _ in range(5)] == [3.5] * 5
-    assert rtt.median == 3.5
+    assert rtt.median_ms == 3.5
 
 
 def test_rtt_lognormal_median():
     rtt = RttDistribution.lognormal(57.4)
     rng = RngStream(1)
     samples = sorted(rtt.sample(rng) for _ in range(4001))
-    assert rtt.median == 57.4
+    assert rtt.median_ms == 57.4
     assert abs(samples[2000] / 57.4 - 1.0) < 0.05
     assert all(s > 0 for s in samples)
 
@@ -52,14 +51,14 @@ def test_rtt_empirical_draws_members():
     rng = RngStream(2)
     seen = {rtt.sample(rng) for _ in range(200)}
     assert seen == {10.0, 20.0, 40.0}
-    assert rtt.median == 20.0
+    assert rtt.median_ms == 20.0
 
 
 def test_builtin_rtt_fixture_frozen():
     rtt = builtin_remote_rtt()
     assert rtt.checksum == BUILTIN_RTT_SHA256
     assert len(rtt.samples) == 1000
-    assert rtt.median == 57.4
+    assert rtt.median_ms == 57.4
     assert statistics.median(rtt.samples) == 57.4
     assert min(rtt.samples) > 20.0
     assert abs(statistics.mean(rtt.samples) - 62.1) < 0.5
@@ -171,12 +170,14 @@ def test_packet_counts_frozen():
 
 
 def test_online_penalty():
-    assert online_server_penalty(False).sample(RngStream(0)) == 0.0
-    enabled = online_server_penalty(True)
+    assert OnlinePenalty(enabled=False).sample(RngStream(0)) == 0.0
+    enabled = OnlinePenalty(enabled=True)
     mean = _mean(enabled.sample, 2000, seed=10)
     assert abs(mean / 460.0 - 1.0) < 0.05
-    custom = online_server_penalty(True, mean_ms=100.0, std_ms=0.0)
+    custom = OnlinePenalty(enabled=True, mean_ms=100.0, std_ms=0.0)
     assert custom.sample(RngStream(0)) == 100.0
+    with pytest.raises(ConfigError):
+        OnlinePenalty(enabled=True, std_ms=-1.0)
 
 
 def test_online_penalty_raises_channel_mean():
@@ -235,11 +236,15 @@ def test_channel_validation():
     with pytest.raises(ConfigError):
         remote_udp(loss_prob=-0.1)
     with pytest.raises(ConfigError):
+        remote_udp(loss_prob=1.0)  # no packet would ever be delivered
+    with pytest.raises(ConfigError):
         remote_tcp(sessions_auth=-1)
     with pytest.raises(ConfigError):
         ProcessingPhase("SimBank", -1.0, 0.0)
     with pytest.raises(ConfigError):
         RttDistribution.constant(-1.0)
+    with pytest.raises(ConfigError):
+        RttDistribution.lognormal(50.0, sigma=-0.35)
 
 
 def test_rtt_from_file_matches_builtin(tmp_path):
@@ -251,7 +256,7 @@ def test_rtt_from_file_matches_builtin(tmp_path):
     path.write_text(text)
     loaded = RttDistribution.from_file(path)
     assert loaded.checksum == BUILTIN_RTT_SHA256
-    assert loaded.median == 57.4
+    assert loaded.median_ms == 57.4
 
 
 def test_channel_is_frozen():

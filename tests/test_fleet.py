@@ -7,14 +7,16 @@ from attachsim import (
     CampDecision,
     ConfigError,
     DeviceProfile,
+    FleetEntry,
     RadioEnvironment,
     RngStream,
+    ScenarioConfig,
     TransmissionModel,
     attempt_camp,
     auth_channel_elapsed,
     builtin_profiles,
     channel_for,
-    transmission_latency,
+    run_scenario,
 )
 from attachsim.fleet import PHONE_MODELS, SIMBOX_MODELS
 
@@ -136,15 +138,22 @@ def test_radio_environment_labels():
         RadioEnvironment(-30.0)
 
 
-def test_transmission_independent_of_signal_quality():
-    excellent = RadioEnvironment(-65.0)
-    edge = RadioEnvironment(-115.0)
-    a = [transmission_latency(excellent, RngStream(42)) for _ in range(1)]
+def test_transmission_independent_of_signal_quality(tmp_path):
+    # the radio leg is sampled from the network's model alone: the same
+    # seed gives the same auth-step latency at any camping signal level
+    model = TransmissionModel()
     rng1, rng2 = RngStream(42), RngStream(42)
-    seq1 = [transmission_latency(excellent, rng1) for _ in range(2000)]
-    seq2 = [transmission_latency(edge, rng2) for _ in range(2000)]
+    seq1 = [model.sample(rng1) for _ in range(2000)]
+    seq2 = [model.sample(rng2) for _ in range(2000)]
     assert seq1 == seq2
-    assert a[0] == seq1[0]
+    assert model.sample(RngStream(42)) == seq1[0]
+    logs = []
+    for rsrp in (-65.0, -115.0):
+        cfg = ScenarioConfig(seed=42, fleet=(FleetEntry("GalaxyNote4", 1),),
+                             attaches_per_device=5, rsrp_dbm=rsrp)
+        logs.append(run_scenario(cfg, tmp_path / str(rsrp)).logs_path
+                    .read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_transmission_distribution_shape():
@@ -162,16 +171,13 @@ def test_transmission_distribution_shape():
     assert all(quiet.sample(rng) < 20.0 for _ in range(10_000))
 
 
-def test_transmission_requires_environment():
-    with pytest.raises(ConfigError):
-        transmission_latency(-71.0, RngStream(0))
-
-
 def test_transmission_model_validation():
     with pytest.raises(ConfigError):
         TransmissionModel(outlier_prob=1.5)
     with pytest.raises(ConfigError):
         TransmissionModel(median_ms=-1.0)
+    with pytest.raises(ConfigError):
+        TransmissionModel(sigma=-0.4)
 
 
 def test_channel_for_kinds(profiles):
@@ -195,7 +201,7 @@ def test_channel_for_overrides(profiles):
         profiles["SMBHyb_rem"],
         overrides={"rtt": {"kind": "constant", "value": 10.0}},
         calibrate=False)
-    assert channel.rtt.median == 10.0
+    assert channel.rtt.median_ms == 10.0
     with pytest.raises(ConfigError):
         channel_for(profiles["SMBHyb_rem"], overrides={"loss_prob": 0.5})
     with pytest.raises(ConfigError):
@@ -220,3 +226,8 @@ def test_profile_validation():
                       step_latency={s: (1.0, 0.0) for s in AttachStep},
                       optional_steps=frozenset(),
                       channel_kind="smoke_signals", sensitivity_rsrp=-85.0)
+    with pytest.raises(ConfigError):
+        DeviceProfile(name="x",
+                      step_latency={s: (1.0, -1.0) for s in AttachStep},
+                      optional_steps=frozenset(),
+                      channel_kind="coupled_serial", sensitivity_rsrp=-85.0)

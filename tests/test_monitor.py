@@ -26,7 +26,7 @@ from attachsim import (
     welch_t,
 )
 from attachsim.core import TIME_QUANTUM_MS
-from attachsim.monitor import LatencySample, _student_sf
+from attachsim.monitor import LatencySample
 
 
 def _record(times_steps, device="dev-000", outcome=Outcome.Completed):
@@ -165,31 +165,39 @@ def test_property_t_scale_invariant(scale):
     assert r2.p_value == pytest.approx(r1.p_value, rel=1e-6)
 
 
+def _welch_at(t, df):
+    """welch_t on two equal-size, unit-variance groups whose Welch
+    statistic is t at even degrees of freedom df = 2n - 2."""
+    n = int(df) // 2 + 1
+    result = welch_t(_stats(n, 0.0, 1.0), _stats(n, t * math.sqrt(2.0 / n), 1.0))
+    assert result.df == pytest.approx(df, rel=1e-12)
+    assert result.t_welch == pytest.approx(t, rel=1e-12)
+    return result
+
+
 def test_student_tail_matches_scipy_grid():
-    for df in (3.0, 10.0, 30.0, 98.0, 150.0, 199.0):
+    for df in (4.0, 10.0, 30.0, 98.0, 150.0, 198.0):
         for t in (0.5, 1.65, 2.5, 5.0, 10.0):
-            mine = _student_sf(t, df)
-            ref = scipy.stats.t.sf(t, df)
-            assert mine == pytest.approx(ref, rel=1e-10), (t, df)
+            result = _welch_at(t, df)
+            ref = scipy.stats.t.sf(result.t_welch, result.df)
+            assert result.p_value == pytest.approx(ref, rel=1e-10), (t, df)
 
 
-def test_student_tail_large_df_normal_branch():
-    # beyond df 200 the tail is the normal one; the approximation error
-    # against the exact t tail shrinks with df and is worst deep in the tail
-    for df in (250.0, 1000.0, 1e6):
-        for t in (0.5, 1.65, 3.0):
-            mine = _student_sf(t, df)
-            assert mine == pytest.approx(scipy.stats.norm.sf(t), rel=1e-12)
-            assert mine == pytest.approx(scipy.stats.t.sf(t, df), rel=0.10)
-    assert _student_sf(1.65, 1e6) == pytest.approx(
-        scipy.stats.t.sf(1.65, 1e6), rel=1e-4)
+def test_welch_p_value_exact_above_df_200():
+    # the tail stays the exact Student one past df 200, where a normal
+    # approximation would be off by several percent deep in the tail
+    for df in (202.0, 250.0, 1000.0, 1e6):
+        for t in (0.5, 1.65, 3.0, 6.0):
+            result = _welch_at(t, df)
+            ref = scipy.stats.t.sf(result.t_welch, result.df)
+            assert result.p_value == pytest.approx(ref, rel=1e-10), (t, df)
 
 
 def test_student_tail_table_pins():
     # one-sided critical values from the standard t table
-    assert abs(_student_sf(1.660, 100.0) - 0.05) < 1e-3
-    assert abs(_student_sf(1.812, 10.0) - 0.05) < 1e-3
-    assert abs(_student_sf(2.457, 30.0) - 0.01) < 1e-3
+    assert abs(_welch_at(1.660, 100.0).p_value - 0.05) < 1e-3
+    assert abs(_welch_at(1.812, 10.0).p_value - 0.05) < 1e-3
+    assert abs(_welch_at(2.457, 30.0).p_value - 0.01) < 1e-3
 
 
 def test_classify_flags_high_latency():

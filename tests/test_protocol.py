@@ -16,7 +16,6 @@ from attachsim import (
     RngStream,
     SignalingMessage,
     coupled_serial,
-    network_auth_timer,
     run_attach,
     step_named,
     validate_sequence,
@@ -67,8 +66,8 @@ def test_step_named():
 
 
 def test_auth_timer_defaults_and_override():
-    assert network_auth_timer() == 6000.0
-    assert network_auth_timer(NetworkConfig(auth_timer_ms=1500.0)) == 1500.0
+    assert NetworkConfig().auth_timer_ms == 6000.0
+    assert NetworkConfig(auth_timer_ms=1500.0).auth_timer_ms == 1500.0
     with pytest.raises(ConfigError):
         NetworkConfig(auth_timer_ms=0.0)
     with pytest.raises(ConfigError):

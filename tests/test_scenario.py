@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +220,20 @@ def test_parse_logs_error_line_numbers(tmp_path):
         parse_logs(target)
     assert err.value.line == 2
 
+    # time must be a finite JSON number and device_id a string
+    for field, text in (("time", '"5"'), ("time", "true"), ("time", '"NaN"'),
+                        ("time", '"inf"'), ("time", "NaN"),
+                        ("time", "Infinity"), ("time", "1" * 400),
+                        ("device_id", "null"), ("device_id", "7")):
+        bad = list(lines)
+        obj = json.loads(bad[3])
+        obj[field] = "@"
+        bad[3] = json.dumps(obj).replace('"@"', text)
+        target.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_logs(target)
+        assert err.value.line == 4, (field, text)
+
 
 def test_parse_logs_rejects_headless_record(tmp_path):
     path = _sample_log(tmp_path)
@@ -365,6 +382,117 @@ def test_cli_end_to_end(tmp_path, capsys):
                  "--baseline", str(out / "logs.jsonl"),
                  "--policy", str(bad_policy),
                  "--report", str(tmp_path / "rep4.csv")]) == 1
+
+
+_INLINE = {"name": "Flat", "channel_kind": "coupled_serial",
+           "sensitivity_rsrp": -85.0,
+           "steps": {s: [1.0, 0.0] for s in (
+               "AttachRequest", "AuthenticationRequest",
+               "AuthenticationResponse", "SecurityModeCommand",
+               "SecurityModeComplete", "AttachAccept", "AttachComplete")}}
+
+
+def _with(path, value):
+    """MINIMAL with the key at `path` (a tuple of keys) set to value."""
+    raw = json.loads(json.dumps(MINIMAL))
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return raw
+
+
+_BAD_CONFIGS = {
+    "fleet": _with(("fleet",), 5),
+    "transmission": _with(("transmission",), 5),
+    "channels": _with(("channels",), 5),
+    "steps": _with(("fleet",), [{"profile": dict(_INLINE, steps=[]),
+                                 "count": 1}]),
+    "subscriber_key": _with(("fleet",), [{
+        "profile": dict(_INLINE, subscriber_key=123), "count": 1}]),
+    "seed_string": _with(("seed",), "abc"),
+    "seed_float": _with(("seed",), 1.7),
+    "seed_negative": _with(("seed",), -1),
+    "count_null": _with(("fleet",), [{"profile": "FairPhone5G", "count": None}]),
+    "count_float": _with(("fleet",), [{"profile": "FairPhone5G", "count": 2.9}]),
+    "rsrp_dbm": _with(("rsrp_dbm",), "x"),
+    "negative_sigma": _with(("transmission", "sigma"), -0.4),
+    "negative_step_std": _with(("fleet",), [{"profile": dict(
+        _INLINE, steps=dict(_INLINE["steps"], AttachAccept=[1.0, -1.0])),
+        "count": 1}]),
+    "negative_algorithm_std": _with(("fleet",), [{"profile": dict(
+        _INLINE, auth_algorithm={"name": "XorTest", "latency_std_ms": -1.0}),
+        "count": 1}]),
+    "calibrate": _with(("calibrate",), "false"),
+    "rtt": _with(("channels", "remote_tcp", "rtt"), "fast"),
+    "online": _with(("channels", "remote_udp", "online"), [1]),
+    "sessions_auth": _with(("channels", "remote_tcp", "sessions_auth"), "15"),
+    "unused_channel_key": _with(("channels", "remote_udp", "bogus"), 1),
+    "loss_prob_one": _with(("channels", "remote_udp", "loss_prob"), 1.0),
+    "critical_string": _with(("detect", "critical"), "inf"),
+    "critical_nan": _with(("detect", "critical"), math.nan),
+    "critical_bool": _with(("detect", "critical"), True),
+}
+_BAD_POLICIES = {
+    "policy_critical_string": {"critical": "inf"},
+    "policy_critical_nan": {"critical": math.nan},
+    "policy_critical_infinity": {"critical": math.inf},
+    "policy_critical_bool": {"critical": True},
+    "policy_not_object": [1.65],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS) + sorted(_BAD_POLICIES))
+def test_cli_rejects_bad_values_without_traceback(tmp_path, capsys, case):
+    path = tmp_path / "input.json"
+    if case in _BAD_CONFIGS:
+        path.write_text(json.dumps(_BAD_CONFIGS[case]))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+    else:
+        path.write_text(json.dumps(_BAD_POLICIES[case]))
+        log = _sample_log(tmp_path)
+        argv = ["detect", "--logs", str(log), "--baseline", str(log),
+                "--policy", str(path), "--report", str(tmp_path / "r.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_detect_degenerate_input_is_an_error(tmp_path, capsys):
+    # constant auth latency on both sides: zero pooled error, different means
+    runs = {}
+    for name, auth_ms in (("base", 50.0), ("test", 80.0)):
+        profile = dict(_INLINE, name=f"Flat{name}", steps=dict(
+            _INLINE["steps"], AuthenticationResponse=[auth_ms, 0.0]))
+        cfg = dict(MINIMAL, attaches_per_device=5,
+                   transmission={"sigma": 0, "outlier_prob": 0},
+                   fleet=[{"profile": profile, "count": 2}])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs[name] = tmp_path / name
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(runs[name])]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--logs", str(runs["test"] / "logs.jsonl"),
+                 "--baseline", str(runs["base"] / "logs.jsonl"),
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_config_examples_are_valid(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) >= 5
+    for block in blocks:
+        raw = json.loads(block if block.startswith("{") else "{" + block + "}")
+        if "profile" in raw:  # a fleet entry
+            raw = dict(MINIMAL, fleet=[raw])
+        elif "version" not in raw:  # a section of the top level
+            raw = dict(MINIMAL, **raw)
+        cfg = parse_config(raw)
+        if cfg.channels:  # the relays must still calibrate and run
+            remote = (FleetEntry("SMBHyb_rem", 1), FleetEntry("SMBPor_rem", 1))
+            run_scenario(replace(cfg, fleet=remote, attaches_per_device=2),
+                         tmp_path / "channels")
 
 
 def test_cli_seed_override_changes_output(tmp_path):
