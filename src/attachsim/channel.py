@@ -13,6 +13,7 @@ reported separately so the transfer lower bound can be checked exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -70,11 +71,29 @@ class RttDistribution:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RttDistribution":
-        """One decimal milliseconds value per line, plain text."""
+        """One decimal milliseconds value per line, plain ASCII text.
+
+        Fail-closed: a line that is not ASCII, or holds anything but
+        finite numbers, raises ConfigError naming the file and the
+        1-based line.
+        """
         raw = Path(path).read_bytes()
-        checksum = hashlib.sha256(raw).hexdigest()
-        values = [float(line) for line in raw.decode("ascii").split()]
-        return cls.empirical(values, checksum=checksum)
+        values = []
+        for lineno, line in enumerate(raw.split(b"\n"), start=1):
+            try:
+                tokens = line.decode("ascii").split()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path} line {lineno}: not ASCII text") from None
+            for token in tokens:
+                try:
+                    value = float(token)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ConfigError(f"{path} line {lineno}: expected a finite "
+                                      f"number, got {token!r:.40}")
+                values.append(value)
+        return cls.empirical(values, checksum=hashlib.sha256(raw).hexdigest())
 
     def sample(self, rng: RngStream) -> float:
         if self.kind == "constant":
@@ -93,10 +112,8 @@ def builtin_remote_rtt() -> RttDistribution:
     global _BUILTIN_RTT
     if _BUILTIN_RTT is None:
         ref = resources.files("attachsim").joinpath("data/rtt_remote_ms.txt")
-        raw = ref.read_bytes()
-        checksum = hashlib.sha256(raw).hexdigest()
-        values = [float(line) for line in raw.decode("ascii").split()]
-        _BUILTIN_RTT = RttDistribution.empirical(values, checksum=checksum)
+        with resources.as_file(ref) as path:
+            _BUILTIN_RTT = RttDistribution.from_file(path)
     return _BUILTIN_RTT
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,10 +43,8 @@ from .fleet import (
 )
 from .monitor import (
     DetectPolicy,
-    LatencySample,
     ReauthPolicy,
     Verdict,
-    aggregate_auth_latency,
     classify,
     compute_step_latencies,
     schedule_reauth,
@@ -352,6 +352,112 @@ _LOG_KEYS = {"time", "layer", "direction", "device_id", "message"}
 # JSON integers decode as floats, so an over-long integer time becomes inf
 # and is rejected below instead of overflowing a later float conversion.
 _LOG_DECODER = json.JSONDecoder(parse_int=float)
+# The exact line shape SignalingMessage.to_json_line writes: a plain JSON
+# number of ASCII digits as time and a device_id without escapes, control
+# characters or undecodable bytes (lone surrogates, see _attaches).  Any
+# other line, valid or not, takes the json branch of _read_line.
+_WRITER_LINE = re.compile(
+    r'\{"time": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?), "layer": "NAS", '
+    r'"direction": "([A-Za-z]+)", '
+    r'"device_id": "([^"\\\x00-\x1f\ud800-\udfff]*)", '
+    r'"message": "([A-Za-z]+)"\}$')
+_STEP_DIRECTIONS = {step.name: (step, step.direction) for step in AttachStep}
+_UNDECODED = re.compile(r"[\ud800-\udfff]")
+# the outcome of a record, from the step it ends at
+_OUTCOME_AFTER = {AttachStep.AttachComplete: Outcome.Completed,
+                  AttachStep.AuthenticationResponse: Outcome.AuthTimeout,
+                  AttachStep.AuthenticationRequest: Outcome.AuthReject}
+
+
+def _read_line(line: str, lineno: int) -> tuple[float, str, AttachStep]:
+    """(time, device_id, step) of a log line in any JSON form, or a
+    ParseError naming the line."""
+    line = line.strip()
+    if not line:
+        raise ParseError("blank line", lineno)
+    if _UNDECODED.search(line):
+        raise ParseError("not UTF-8 text", lineno)
+    try:
+        obj = _LOG_DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+    if not isinstance(obj, dict) or set(obj) != _LOG_KEYS:
+        raise ParseError(f"expected exactly keys {sorted(_LOG_KEYS)}", lineno)
+    try:
+        step = step_named(str(obj["message"]))
+    except ConfigError:
+        raise ParseError(f"unknown message {obj['message']!r}", lineno) from None
+    if obj["layer"] != "NAS":
+        raise ParseError(f"unexpected layer {obj['layer']!r}", lineno)
+    if obj["direction"] != step.direction:
+        raise ParseError(f"{step.name} must be {step.direction}", lineno)
+    time = obj["time"]
+    if type(time) is not float or not time < math.inf:
+        raise ParseError(f"bad time {time!r}", lineno)
+    if time < 0:
+        raise ParseError("negative timestamp", lineno)
+    device_id = obj["device_id"]
+    # a lone surrogate (from a \ud800-style escape) cannot be written out
+    if type(device_id) is not str or _UNDECODED.search(device_id):
+        raise ParseError(f"bad device_id {device_id!r}", lineno)
+    return time, device_id, step
+
+
+def _attaches(path: str | Path
+              ) -> Iterator[tuple[str, list[AttachStep], list[float], Outcome]]:
+    """Each attach record of a JSONL signaling log, read in one pass by
+    the rules of parse_logs.
+
+    Yields (device_id, steps, times, outcome) when a record closes: when
+    the device's next record starts, or at the end of the log, devices in
+    sorted order.
+    """
+    # device -> [steps, times, line of the last message] of its open record
+    open_records: dict[str, list] = {}
+
+    def closed(device_id: str, record: list):
+        steps, times, last_line = record
+        if steps[-1] not in _OUTCOME_AFTER:
+            raise ParseError(f"record for {device_id} truncated at "
+                             f"{steps[-1].name}", last_line)
+        return device_id, steps, times, _OUTCOME_AFTER[steps[-1]]
+
+    match = _WRITER_LINE.match
+    directions = _STEP_DIRECTIONS.get
+    first = AttachStep.AttachRequest
+    # Undecodable bytes become lone surrogates, which only _read_line takes.
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            fast = match(line)
+            if fast:
+                time_text, direction, device_id, message = fast.groups()
+                step, expected = directions(message, (None, None))
+                time = float(time_text)
+                if direction != expected or not time < math.inf:
+                    time, device_id, step = _read_line(line, lineno)
+            else:
+                time, device_id, step = _read_line(line, lineno)
+
+            record = open_records.get(device_id)
+            if record is not None and step <= record[0][-1]:
+                del open_records[device_id]
+                yield closed(device_id, record)
+                record = None
+            if record is None:
+                if step != first:
+                    raise ParseError(
+                        f"record for {device_id} starts at {step.name}", lineno)
+                open_records[device_id] = [[step], [time], lineno]
+                continue
+            times = record[1]
+            if time < times[-1]:
+                raise ParseError(f"time went backwards for {device_id}", lineno)
+            record[0].append(step)
+            times.append(time)
+            record[2] = lineno
+
+    for device_id in sorted(open_records):
+        yield closed(device_id, open_records[device_id])
 
 
 def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
@@ -361,88 +467,30 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
     line number.  Records are split when the step index stops increasing;
     every record must begin with the first step of the sequence.
     """
-    open_records: dict[str, list[SignalingMessage]] = {}
     done: dict[str, list[AttachRecord]] = {}
-    seq_counter: dict[str, int] = {}
-    last_line_for: dict[str, int] = {}
-
-    def close(device_id: str) -> None:
-        msgs = open_records.pop(device_id, None)
-        if not msgs:
-            return
-        last = msgs[-1].step
-        if last == AttachStep.AttachComplete:
-            outcome = Outcome.Completed
-        elif last == AttachStep.AuthenticationResponse:
-            outcome = Outcome.AuthTimeout
-        elif last == AttachStep.AuthenticationRequest:
-            outcome = Outcome.AuthReject
-        else:
-            raise ParseError(f"record for {device_id} truncated at {last.name}",
-                             last_line_for[device_id])
-        seq = seq_counter.get(device_id, 0)
-        seq_counter[device_id] = seq + 1
-        done.setdefault(device_id, []).append(AttachRecord(
-            device_id=device_id, messages=msgs, outcome=outcome, attach_seq=seq))
-
-    with Path(path).open() as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                raise ParseError("blank line", lineno)
-            try:
-                obj = _LOG_DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(obj, dict) or set(obj) != _LOG_KEYS:
-                raise ParseError(f"expected exactly keys {sorted(_LOG_KEYS)}",
-                                 lineno)
-            try:
-                step = step_named(str(obj["message"]))
-            except ConfigError:
-                raise ParseError(f"unknown message {obj['message']!r}",
-                                 lineno) from None
-            if obj["layer"] != "NAS":
-                raise ParseError(f"unexpected layer {obj['layer']!r}", lineno)
-            if obj["direction"] != step.direction:
-                raise ParseError(
-                    f"{step.name} must be {step.direction}", lineno)
-            time = obj["time"]
-            if type(time) is not float or not time < math.inf:
-                raise ParseError(f"bad time {time!r}", lineno)
-            if time < 0:
-                raise ParseError("negative timestamp", lineno)
-            device_id = obj["device_id"]
-            if type(device_id) is not str:
-                raise ParseError(f"bad device_id {device_id!r}", lineno)
-            msg = SignalingMessage(time=time, direction=str(obj["direction"]),
-                                   device_id=device_id, message=step.name)
-
-            pending = open_records.get(device_id)
-            if pending and step <= pending[-1].step:
-                close(device_id)
-                pending = None
-            if not pending and step != AttachStep.AttachRequest:
-                raise ParseError(
-                    f"record for {device_id} starts at {step.name}", lineno)
-            if pending and time < pending[-1].time:
-                raise ParseError(f"time went backwards for {device_id}", lineno)
-            open_records.setdefault(device_id, []).append(msg)
-            last_line_for[device_id] = lineno
-
-    for device_id in sorted(open_records):
-        close(device_id)
+    for device_id, steps, times, outcome in _attaches(path):
+        recs = done.setdefault(device_id, [])
+        recs.append(AttachRecord(
+            device_id=device_id, outcome=outcome, attach_seq=len(recs),
+            messages=[SignalingMessage(time=time, direction=step.direction,
+                                       device_id=device_id, message=step.name)
+                      for step, time in zip(steps, times)]))
     return done
 
 
-def _device_samples(records: dict[str, list[AttachRecord]]
-                    ) -> dict[str, list[LatencySample]]:
-    out: dict[str, list[LatencySample]] = {}
-    for device_id, recs in records.items():
-        samples: list[LatencySample] = []
-        for rec in recs:
-            samples.extend(compute_step_latencies(rec))
-        out[device_id] = samples
+def _step_latencies(path: str | Path, step: AttachStep
+                    ) -> dict[str, list[float]]:
+    """Per device, in parse_logs order, the latency of `step` in each record
+    that has it: its time minus the time of the message before it."""
+    out: dict[str, list[float]] = {}
+    for device_id, steps, times, _ in _attaches(path):
+        values = out.setdefault(device_id, [])
+        try:
+            i = steps.index(step)
+        except ValueError:
+            continue
+        if i:
+            values.append(times[i] - times[i - 1])
     return out
 
 
@@ -458,28 +506,28 @@ class DetectionResult:
 def run_detection(logs_path: str | Path, baseline_path: str | Path,
                   policy: DetectPolicy, report_path: str | Path
                   ) -> DetectionResult:
-    """Score every device in the logs against the baseline population."""
-    device_samples = _device_samples(parse_logs(logs_path))
-    baseline_samples = _device_samples(parse_logs(baseline_path))
+    """Score every device in the logs against the baseline population.
 
-    baseline_values = [
-        s.latency for samples in baseline_samples.values() for s in samples
-        if s.step == AttachStep.AuthenticationResponse]
+    Each log is read once, keeping only each device's authentication
+    latencies.
+    """
+    auth = AttachStep.AuthenticationResponse
+    device_latencies = _step_latencies(logs_path, auth)
+    baseline_values = [value for values in _step_latencies(baseline_path,
+                                                           auth).values()
+                       for value in values]
     if not baseline_values:
         raise EmptyWindow("baseline logs contain no authentication samples")
     baseline = monitor.LatencyStats.from_samples(baseline_values)
 
     verdicts: list[Verdict] = []
     skipped: list[str] = []
-    for device_id in sorted(device_samples):
-        try:
-            stats = aggregate_auth_latency(device_samples[device_id], device_id)
-        except EmptyWindow:
+    for device_id in sorted(device_latencies):
+        values = device_latencies[device_id]
+        if len(values) < 2:
             skipped.append(device_id)
             continue
-        if stats.n < 2:
-            skipped.append(device_id)
-            continue
+        stats = monitor.LatencyStats.from_samples(values)
         verdicts.append(classify(stats, baseline, policy, device_id=device_id))
 
     report_path = Path(report_path)
@@ -539,10 +587,8 @@ def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,
         step = step_named(step)
     elif isinstance(step, int):
         step = AttachStep(step)
-    values = [
-        s.latency
-        for samples in _device_samples(parse_logs(logs_path)).values()
-        for s in samples if s.step == step]
+    values = [value for values in _step_latencies(logs_path, step).values()
+              for value in values]
     if not values:
         raise EmptyWindow(f"no samples for step {step.name}")
     counts, edges = np.histogram(np.asarray(values), bins=bins)

@@ -478,6 +478,41 @@ def test_cli_detect_degenerate_input_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_rejects_undecodable_logs_without_traceback(tmp_path, capsys):
+    good = _sample_log(tmp_path)
+    garbage = tmp_path / "garbage.jsonl"
+    garbage.write_bytes(b"\xff\xfe")
+    lines = good.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"FairPhone5G-000", b"FairPhone5G-\xff00")
+    midway = tmp_path / "midway.jsonl"
+    midway.write_bytes(b"".join(lines))
+    escaped = tmp_path / "escaped.jsonl"  # valid JSON, not encodable
+    escaped.write_bytes(b"".join(lines[:3]).replace(b"-000", b"\\udcff"))
+    for path, line, error in ((garbage, 1, "not UTF-8 text"),
+                              (midway, 3, "not UTF-8 text"),
+                              (escaped, 1, "bad device_id 'FairPhone5G\\udcff'")):
+        for argv in (["detect", "--logs", str(path), "--baseline", str(good),
+                      "--report", str(tmp_path / "r.csv")],
+                     ["distribution", "--logs", str(path), "--step",
+                      "AuthenticationResponse", "--out", str(tmp_path / "d.csv")]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: line {line}: {error}\n"
+
+
+@pytest.mark.parametrize("bad", [b"abc", b"nan", b"-inf", b"5\xb5"])
+def test_cli_rejects_bad_rtt_file_without_traceback(tmp_path, capsys, bad):
+    rtt = tmp_path / "rtt.txt"
+    rtt.write_bytes(b"50.0\n" + bad + b"\n60.0\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with(
+        ("channels", "remote_tcp", "rtt"),
+        {"kind": "empirical", "path": str(rtt)})))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {rtt} line 2: ")
+
+
 def test_readme_config_examples_are_valid(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
