@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -96,12 +97,24 @@ class RttDistribution:
         return cls.empirical(values, checksum=hashlib.sha256(raw).hexdigest())
 
     def sample(self, rng: RngStream) -> float:
+        return float(self.draw(rng.gen, 1)[0])
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """`n` round trips in one generator call (none for a constant)."""
+        if self.kind == "constant":
+            return np.full(n, self.median_ms)
+        if self.kind == "lognormal":
+            return self.median_ms * np.exp(gen.normal(0.0, self.sigma, n))
+        return self.samples[gen.integers(0, len(self.samples), n)]
+
+    @property
+    def mean_ms(self) -> float:
+        """Exact mean of the distribution `draw` samples from."""
         if self.kind == "constant":
             return self.median_ms
         if self.kind == "lognormal":
-            return self.median_ms * float(np.exp(rng.normal(0.0, self.sigma)))
-        idx = rng.integers(0, len(self.samples))
-        return float(self.samples[idx])
+            return self.median_ms * math.exp(0.5 * self.sigma ** 2)
+        return float(np.mean(self.samples))
 
 
 _BUILTIN_RTT: RttDistribution | None = None
@@ -189,6 +202,10 @@ class SimChannel:
             raise ConfigError("session and packet counts must be non-negative")
         if self.retransmit_timeout_ms <= 0:
             raise ConfigError("retransmit timeout must be positive")
+        if not all(1.0 <= v < math.inf
+                   for v in (self.backoff_factor, self.backoff_cap)):
+            raise ConfigError("backoff factor and cap must be finite and "
+                              "at least 1")
 
     @property
     def is_remote(self) -> bool:
@@ -197,6 +214,11 @@ class SimChannel:
     @property
     def auth_packet_count(self) -> int:
         return self.sessions_auth * self.packets_per_session + self.handshake_packets
+
+    @cached_property
+    def _phase_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([p.mean_ms for p in self.processing_phases]),
+                np.array([p.std_ms for p in self.processing_phases]))
 
 
 def coupled_serial(serial_mean_ms: float = 0.12, serial_std_ms: float = 0.15,
@@ -290,43 +312,62 @@ def build_channel(kind: str, **kwargs) -> SimChannel:
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
-def transfer_session(channel: SimChannel, rng: RngStream) -> float:
-    """Elapsed time of one transfer session.
+def _transfer_ms(channel: SimChannel, gen: np.random.Generator,
+                 sessions: int, handshake: bool) -> float:
+    """Elapsed time of `sessions` transfer sessions, plus the connection
+    setup when `handshake` is set, from one generator call per kind of draw.
 
-    Coupled: a single serial transfer.  Remote: the two round-trip
-    transfers the session is built from, plus per-packet ack cost on the
-    reliable transport or loss-driven retransmission waits on the
-    datagram one.
+    Coupled: one serial transfer per session.  Remote: each session is two
+    round-trip transfers, plus per-packet ack cost on the reliable
+    transport or loss-driven retransmission waits on the datagram one;
+    each handshake packet is half a round trip.
     """
     if channel.kind == COUPLED_SERIAL:
-        return clamped_normal(rng, channel.serial_mean_ms, channel.serial_std_ms,
-                              SERIAL_FLOOR_MS)
-    elapsed = channel.rtt.sample(rng) + channel.rtt.sample(rng)
+        draws = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
+                           sessions)
+        return float(np.maximum(draws, SERIAL_FLOOR_MS).sum())
+    setup = 0.5 * channel.handshake_packets if handshake else 0.0
+    rtts = channel.rtt.draw(gen, 2 * sessions + (setup > 0))
+    if setup:
+        elapsed = setup * float(rtts[0]) + float(rtts[1:].sum())
+    else:
+        elapsed = float(rtts.sum())
+    packets = sessions * channel.packets_per_session
     if channel.kind == REMOTE_TCP:
-        return elapsed + channel.packets_per_session * channel.ack_cost_ms
-    # datagram: every packet is retried until delivered
-    for _ in range(channel.packets_per_session):
-        attempt = 0
-        while rng.random() < channel.loss_prob:
-            backoff = min(channel.backoff_factor ** attempt, channel.backoff_cap)
-            elapsed += channel.retransmit_timeout_ms * backoff
-            attempt += 1
+        return elapsed + packets * channel.ack_cost_ms
+    if channel.loss_prob > 0.0 and packets:
+        # every packet is retried until delivered: lost attempts per packet
+        losses = gen.geometric(1.0 - channel.loss_prob, packets) - 1
+        top = int(losses.max())
+        if top:
+            elapsed += channel.retransmit_timeout_ms * float(
+                _backoff_prefix(channel, top)[losses].sum())
     return elapsed
+
+
+def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
+    """Total wait, in retransmit timeouts, after 0..top lost attempts: the
+    a-th retry waits min(backoff_factor**a, backoff_cap) timeouts."""
+    waits, factor = [0.0], 1.0
+    for _ in range(top):
+        waits.append(waits[-1] + min(factor, channel.backoff_cap))
+        factor *= channel.backoff_factor
+    return np.array(waits)
+
+
+def transfer_session(channel: SimChannel, rng: RngStream) -> float:
+    """Elapsed time of one transfer session (see _transfer_ms)."""
+    return _transfer_ms(channel, rng.gen, 1, handshake=False)
 
 
 def auth_channel_elapsed(channel: SimChannel, rng: RngStream) -> ChannelBreakdown:
     """Transfer and processing totals for the authentication phase."""
-    transfer = 0.0
-    if channel.handshake_packets > 0:
-        # connection setup: each handshake packet is half a round trip
-        transfer += 0.5 * channel.handshake_packets * channel.rtt.sample(rng)
-    for _ in range(channel.sessions_auth):
-        transfer += transfer_session(channel, rng)
+    gen = rng.gen
+    transfer = _transfer_ms(channel, gen, channel.sessions_auth, handshake=True)
     transfer += channel.online.sample(rng)
-    processing = 0.0
-    for phase in channel.processing_phases:
-        processing += clamped_normal(rng, phase.mean_ms, phase.std_ms,
-                                     PROCESSING_FLOOR_MS)
+    means, stds = channel._phase_moments
+    draws = means + stds * gen.standard_normal(len(means))
+    processing = float(np.maximum(draws, PROCESSING_FLOOR_MS).sum())
     return ChannelBreakdown(transfer_total_ms=transfer,
                             processing_total_ms=processing)
 
@@ -339,38 +380,96 @@ def min_transfer_floor(channel: SimChannel) -> float:
     return 2.0 * channel.rtt.median_ms
 
 
-CALIBRATION_DRAWS = 4096
-CALIBRATION_ENTROPY = 0x5EED
+def _floored_normal_mean(mean: float, std: float, floor: float
+                         ) -> tuple[float, float]:
+    """E[max(X, floor)] for X ~ N(mean, std), and its derivative in the
+    scale s of X at s = 1 (E[X; X > floor])."""
+    if std == 0.0:
+        return (mean, mean) if mean > floor else (floor, 0.0)
+    z = (mean - floor) / std
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return floor + (mean - floor) * cdf + std * pdf, mean * cdf + std * pdf
+
+
+def _expected_backoff(channel: SimChannel) -> float:
+    """Expected wait per packet, in retransmit timeouts:
+    sum over a of min(b**a, cap) * p**(a + 1), in closed form."""
+    p, b, cap = channel.loss_prob, channel.backoff_factor, channel.backoff_cap
+    if p == 0.0:
+        return 0.0
+    # the first `head` terms are b**a < cap; every later one is `tail`
+    head, tail = (0, 1.0) if b == 1.0 else (
+        max(math.ceil(math.log(cap) / math.log(b)), 0), cap)
+    log_ratio = math.log(b) + math.log(p)
+    rising = head if log_ratio == 0.0 else \
+        math.expm1(head * log_ratio) / math.expm1(log_ratio)
+    return p * rising + tail * p ** (head + 1) / (1.0 - p)
+
+
+def _expected_transfer_ms(channel: SimChannel) -> float:
+    """Exact mean transfer time of the authentication phase, online
+    penalty included, as auth_channel_elapsed samples it."""
+    rtt = channel.rtt.mean_ms
+    session = 2.0 * rtt
+    if channel.kind == REMOTE_TCP:
+        session += channel.packets_per_session * channel.ack_cost_ms
+    elif channel.kind == REMOTE_UDP:
+        session += (channel.packets_per_session * channel.retransmit_timeout_ms
+                    * _expected_backoff(channel))
+    online = channel.online
+    penalty = _floored_normal_mean(online.mean_ms, online.std_ms, 0.0)[0] \
+        if online.enabled else 0.0
+    return (0.5 * channel.handshake_packets * rtt
+            + channel.sessions_auth * session + penalty)
+
+
+def _expected_processing(phases, scale: float) -> tuple[float, float]:
+    """Mean processing total with every phase scaled by `scale`, and its
+    derivative in `scale`."""
+    value = slope = 0.0
+    for p in phases:
+        v, d = _floored_normal_mean(scale * p.mean_ms, scale * p.std_ms,
+                                    PROCESSING_FLOOR_MS)
+        value += v
+        slope += d / scale
+    return value, slope
 
 
 def calibrate_processing(channel: SimChannel, target_mean_ms: float
                          ) -> SimChannel:
     """Scale processing phases so mean elapsed time hits a measured target.
 
-    Transfer time is fixed by the transport parameters; processing moments
-    are scaled by a single factor estimated from CALIBRATION_DRAWS draws on
-    an internal fixed-seed stream, so the result is deterministic and
-    independent of scenario seeds.
+    Transfer time is fixed by the transport parameters.  The mean of the
+    sampler is known exactly (round trips, retransmission waits and
+    floored normal phases), so the one processing scale factor is the
+    root of a convex, increasing equation, found by Newton's method.
     """
     if not channel.is_remote:
         raise ConfigError("calibration applies to remote channels only")
-    rng = RngStream(CALIBRATION_ENTROPY)
-    transfer_sum = 0.0
-    processing_sum = 0.0
-    for _ in range(CALIBRATION_DRAWS):
-        bd = auth_channel_elapsed(channel, rng)
-        transfer_sum += bd.transfer_total_ms
-        processing_sum += bd.processing_total_ms
-    mean_transfer = transfer_sum / CALIBRATION_DRAWS
-    mean_processing = processing_sum / CALIBRATION_DRAWS
-    if mean_processing <= 0.0:
+    phases = channel.processing_phases
+    unfloored = sum(_floored_normal_mean(p.mean_ms, p.std_ms, 0.0)[0]
+                    for p in phases)
+    if unfloored <= 0.0:
         raise ConfigError("cannot calibrate a channel with no processing time")
-    scale = (target_mean_ms - mean_transfer) / mean_processing
-    if scale <= 0.0:
+    transfer = _expected_transfer_ms(channel)
+    wanted = target_mean_ms - transfer
+    if wanted <= len(phases) * PROCESSING_FLOOR_MS:
         raise ConfigError(
             f"target mean {target_mean_ms} ms is below the transfer-only mean "
-            f"{mean_transfer:.1f} ms; lower the rtt or session count")
-    phases = tuple(
-        ProcessingPhase(p.site, p.mean_ms * scale, p.std_ms * scale)
-        for p in channel.processing_phases)
+            f"{transfer:.1f} ms plus the processing floor; lower the rtt or "
+            f"session count")
+    # s * E[max(X, 0)] <= E[max(sX, floor)]: Newton starts at or above the root
+    scale = wanted / unfloored
+    for _ in range(100):
+        value, slope = _expected_processing(phases, scale)
+        if value <= wanted:
+            break
+        # Newton from above: convexity keeps every step above the root
+        lower = scale - (value - wanted) / slope
+        if not lower < scale:
+            break
+        scale = lower
+    phases = tuple(ProcessingPhase(p.site, p.mean_ms * scale, p.std_ms * scale)
+                   for p in phases)
     return replace(channel, processing_phases=phases)

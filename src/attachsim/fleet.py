@@ -271,8 +271,8 @@ def _parse_rtt(raw: dict, ctx: str) -> chan.RttDistribution:
 
 
 _CHANNEL_SCHEMA = {
-    chan.COUPLED_SERIAL: {"serial_mean_ms": float, "serial_std_ms": float,
-                          "sessions_auth": int},
+    # a coupled profile samples its auth step from its step table
+    chan.COUPLED_SERIAL: {},
     chan.REMOTE_TCP: {"rtt": dict, "online": dict, "sessions_auth": int,
                       "packets_per_session": int, "ack_cost_ms": float},
     chan.REMOTE_UDP: {"rtt": dict, "online": dict, "sessions_auth": int,

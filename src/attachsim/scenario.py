@@ -21,13 +21,14 @@ import numpy as np
 
 from . import monitor
 from .aka import SubscriberKey, algorithm_named
-from .channel import CHANNEL_KINDS, SimChannel, build_channel
+from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
 from .core import (
     ConfigError,
     EmptyWindow,
     EventClock,
     ParseError,
     RngStream,
+    TIME_QUANTUM_MS,
     read_section,
     read_value,
 )
@@ -178,6 +179,10 @@ def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
 
     channels = read_section(spec.get("channels", {}), f"{ctx} channels",
                             dict.fromkeys(CHANNEL_KINDS, dict))
+    if COUPLED_SERIAL in channels:
+        raise ConfigError(
+            f"{ctx} channels {COUPLED_SERIAL}: takes no overrides; a coupled "
+            f"profile's auth latency comes from its step table")
     for kind, section in channels.items():  # built only to be checked
         build_channel(kind, **channel_overrides(kind, section,
                                                 f"{ctx} channels {kind}"))
@@ -252,15 +257,22 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
                 ReauthPolicy(config.attaches_per_device, config.min_spacing_ms),
                 (0.0, config.day_span_ms), rng)
             recs: list[AttachRecord] = []
+            last_ms = -math.inf  # the device's latest message so far
             for seq, start in enumerate(schedule):
                 if attempt_camp(profile, env) is CampDecision.CampRefused:
                     recs.append(AttachRecord(device_id=device_id, messages=[],
                                              outcome=Outcome.CampRefused,
                                              attach_seq=seq))
                     continue
-                clock = EventClock(start)
-                recs.append(run_attach(profile, channel, network, clock, rng,
-                                       attach_seq=seq))
+                # a device runs one attach at a time: one that would overlap
+                # the previous one starts right after it instead
+                clock = EventClock(start if start > last_ms
+                                   else last_ms + TIME_QUANTUM_MS)
+                rec = run_attach(profile, channel, network, clock, rng,
+                                 attach_seq=seq)
+                if rec.messages:
+                    last_ms = rec.messages[-1].time
+                recs.append(rec)
             records[device_id] = recs
 
     logs_path = out / "logs.jsonl"
@@ -279,7 +291,8 @@ def _write_logs(path: Path, records: dict[str, list[AttachRecord]]) -> None:
     for recs in records.values():
         for rec in recs:
             messages.extend(rec.messages)
-    messages.sort(key=lambda m: (m.time, m.device_id, m.step.value))
+    order = {step.name: step.value for step in AttachStep}
+    messages.sort(key=lambda m: (m.time, m.device_id, order[m.message]))
     with path.open("w") as f:
         for msg in messages:
             f.write(msg.to_json_line())

@@ -1,4 +1,10 @@
+import math
+import os
 import statistics
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from attachsim import (
     remote_udp,
     transfer_session,
 )
+from attachsim import channel as chan_mod
 from attachsim.channel import ProcessingPhase
 
 BUILTIN_RTT_SHA256 = (
@@ -199,6 +206,91 @@ def test_calibration_hits_target():
         assert abs(mean / target - 1.0) < 0.01
 
 
+def _exact_mean(channel):
+    return (chan_mod._expected_transfer_ms(channel)
+            + chan_mod._expected_processing(channel.processing_phases, 1.0)[0])
+
+
+def test_exact_calibration_oracle():
+    # constant rtt, no loss, deterministic phases: the mean is linear in the
+    # scale, transfer is 1.5 rtt + 15 sessions of (2 rtt + 0.3) = 73.8 ms
+    phases = (tuple(ProcessingPhase("SimBank", 218.0, 0.0) for _ in range(8))
+              + tuple(ProcessingPhase("Gateway", 211.0, 0.0) for _ in range(6)))
+    channel = remote_tcp(rtt=RttDistribution.constant(2.2),
+                         processing_phases=phases)
+    tuned = calibrate_processing(channel, 2122.7)
+    scale = tuned.processing_phases[0].mean_ms / 218.0
+    assert scale == pytest.approx((2122.7 - 73.8) / 3010.0, rel=1e-12)
+    assert all(p.mean_ms / q.mean_ms == pytest.approx(scale, rel=1e-15)
+               for p, q in zip(tuned.processing_phases, phases))
+    bd = auth_channel_elapsed(tuned, RngStream(0))
+    assert bd.total_ms == pytest.approx(2122.7, rel=1e-12)
+
+
+def test_calibrated_mean_is_exact_and_sampled():
+    channel = remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5),
+                         loss_prob=0.05,
+                         online=OnlinePenalty(enabled=True, mean_ms=100.0,
+                                              std_ms=80.0))
+    target = 2500.0
+    for base, goal in ((channel, target), (remote_tcp(), 2122.7),
+                       (remote_udp(), 1640.2),
+                       (remote_udp(loss_prob=0.05), 1640.2)):
+        assert _exact_mean(calibrate_processing(base, goal)) == \
+            pytest.approx(goal, rel=1e-9)
+    tuned = calibrate_processing(channel, target)
+    rng = RngStream(20)
+    draws = np.array([auth_channel_elapsed(tuned, rng).total_ms
+                      for _ in range(40_000)])
+    se = draws.std(ddof=1) / np.sqrt(draws.size)
+    assert abs(draws.mean() - target) < 3 * se
+
+
+def test_expected_backoff_matches_series():
+    for b, cap in ((2.0, 8.0), (1.0, 8.0), (1.0, 1.0), (3.0, 1.0),
+                   (1.5, 100.0), (2.0, 5.0)):
+        for p in (0.0, 0.02, 0.3, 0.9):
+            channel = remote_udp(rtt=RttDistribution.constant(0.0),
+                                 loss_prob=p)
+            channel = replace(channel, backoff_factor=b, backoff_cap=cap)
+            series, factor = 0.0, 1.0
+            for a in range(2000):
+                series += min(factor, cap) * p ** (a + 1)
+                factor = min(factor * b, cap)
+            assert chan_mod._expected_backoff(channel) == pytest.approx(
+                series, rel=1e-12, abs=1e-300)
+            prefix = chan_mod._backoff_prefix(channel, 12)
+            assert list(prefix) == pytest.approx(
+                [sum(min(b ** k, cap) for k in range(a)) for a in range(13)],
+                rel=1e-15)
+
+
+def test_same_seed_same_breakdown():
+    online = OnlinePenalty(enabled=True)
+    for channel in (remote_tcp(), remote_udp(loss_prob=0.3, online=online),
+                    remote_tcp(rtt=RttDistribution.lognormal(50.0)),
+                    coupled_serial()):
+        a = [auth_channel_elapsed(channel, RngStream(7, (2,)))
+             for _ in range(3)]
+        b = [auth_channel_elapsed(channel, RngStream(7, (2,)))
+             for _ in range(3)]
+        assert a == b
+        assert auth_channel_elapsed(channel, RngStream(8, (2,))) != a[0]
+
+
+def test_calibration_imports_no_optimizer():
+    # importing scipy.optimize adds over 20 MB of resident memory to a run
+    code = ("import sys, attachsim\n"
+            "profiles = attachsim.builtin_profiles()\n"
+            "for name in ('SMBHyb_rem', 'SMBPor_rem'):\n"
+            "    attachsim.channel_for(profiles[name])\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(chan_mod.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_calibration_deterministic():
     a = calibrate_processing(remote_tcp(), 2122.7)
     b = calibrate_processing(remote_tcp(), 2122.7)
@@ -245,10 +337,14 @@ def test_channel_validation():
         RttDistribution.constant(-1.0)
     with pytest.raises(ConfigError):
         RttDistribution.lognormal(50.0, sigma=-0.35)
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            replace(remote_udp(), backoff_factor=bad)
+        with pytest.raises(ConfigError):
+            replace(remote_udp(), backoff_cap=bad)
 
 
 def test_rtt_from_file_matches_builtin(tmp_path):
-    from attachsim import channel as chan_mod
     from importlib import resources
     text = (resources.files(chan_mod.__package__) / "data" / "rtt_remote_ms.txt"
             ).read_text()

@@ -169,6 +169,26 @@ def test_parse_logs_roundtrip(tmp_path):
                [[m.to_json_line() for m in r.messages] for r in recs]
 
 
+def test_overlapping_attaches_round_trip(tmp_path):
+    # 100 ms spacing is far shorter than a relayed attach (about 2.3 s), so
+    # scheduled attaches overlap; each must start after the previous one
+    cfg = ScenarioConfig(seed=3, fleet=(FleetEntry("SMBHyb_rem", 1),
+                                        FleetEntry("FairPhone5G", 1)),
+                         attaches_per_device=200, day_span_ms=200_000.0,
+                         min_spacing_ms=100.0)
+    art = run_scenario(cfg, tmp_path / "out")
+    parsed = parse_logs(art.logs_path)
+    for device_id, recs in art.records.items():
+        sent = [r for r in recs if r.messages]
+        assert len(sent) == 200
+        for prev, cur in zip(sent, sent[1:]):
+            assert cur.messages[0].time > prev.messages[-1].time
+        got = parsed[device_id]
+        assert [r.outcome for r in got] == [r.outcome for r in sent]
+        assert [[m.to_json_line() for m in r.messages] for r in got] == \
+               [[m.to_json_line() for m in r.messages] for r in sent]
+
+
 def _sample_log(tmp_path, n_attaches=2):
     cfg = ScenarioConfig(seed=13, fleet=(FleetEntry("FairPhone5G", 1),),
                          attaches_per_device=n_attaches)
@@ -511,6 +531,20 @@ def test_cli_rejects_bad_rtt_file_without_traceback(tmp_path, capsys, bad):
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {rtt} line 2: ")
+
+
+def test_cli_rejects_coupled_channel_section(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with(
+        ("channels", "coupled_serial"),
+        {"serial_mean_ms": 500.0, "sessions_auth": 40})))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path} channels coupled_serial: takes no "
+                   f"overrides; a coupled profile's auth latency comes from "
+                   f"its step table\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_config_examples_are_valid(tmp_path):
