@@ -77,7 +77,8 @@ class AuthAlgorithm:
 
 
 def xor_test(k: bytes, rand: bytes) -> tuple[bytes, bytes]:
-    x = bytes(a ^ b for a, b in zip(k, rand))
+    x = (int.from_bytes(k, "big") ^ int.from_bytes(rand, "big")).to_bytes(
+        KEY_LEN, "big")
     return x[:RES_LEN], x[1:] + x[:1]
 
 
@@ -102,12 +103,17 @@ def algorithm_named(name: str, latency_mean_ms: float = 0.0,
     return AuthAlgorithm(base.name, base.compute, latency_mean_ms, latency_std_ms)
 
 
+def challenge_for(k: SubscriberKey, rand: bytes,
+                  alg: AuthAlgorithm = XOR_TEST) -> AuthChallenge:
+    """Derive the expected response and token for a given rand."""
+    res, autn = alg.compute(k.k, rand)
+    return AuthChallenge(rand=rand, autn=autn, xres=res)
+
+
 def generate_challenge(k: SubscriberKey, rng: RngStream,
                        alg: AuthAlgorithm = XOR_TEST) -> AuthChallenge:
     """Draw a fresh rand and derive the expected response and token."""
-    rand = rng.bytes(KEY_LEN)
-    res, autn = alg.compute(k.k, rand)
-    return AuthChallenge(rand=rand, autn=autn, xres=res)
+    return challenge_for(k, rng.bytes(KEY_LEN), alg)
 
 
 def compute_response(k: SubscriberKey, rand: bytes, autn: bytes,

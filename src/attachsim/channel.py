@@ -202,6 +202,9 @@ class SimChannel:
             raise ConfigError("session and packet counts must be non-negative")
         if self.retransmit_timeout_ms <= 0:
             raise ConfigError("retransmit timeout must be positive")
+        if not 0.0 <= self.ack_cost_ms < math.inf:
+            # a negative cost would cut transfers below the two-RTT floor
+            raise ConfigError("ack_cost_ms must be finite and non-negative")
         if not all(1.0 <= v < math.inf
                    for v in (self.backoff_factor, self.backoff_cap)):
             raise ConfigError("backoff factor and cap must be finite and "

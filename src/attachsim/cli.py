@@ -19,6 +19,7 @@ from .core import (
 )
 from .fleet import builtin_profiles
 from .monitor import Decision
+from .protocol import Outcome
 from .scenario import (
     emit_distribution,
     load_config,
@@ -69,8 +70,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     artifacts = run_scenario(config, args.out)
-    total = sum(len(recs) for recs in artifacts.records.values())
-    print(f"simulated {len(artifacts.records)} devices, {total} attach attempts")
+    outcomes = artifacts.outcome_counts()
+    print(f"simulated {len(artifacts.devices)} devices, "
+          f"{sum(outcomes.values())} attach attempts")
+    print("outcomes: " + ", ".join(
+        f"{outcome.value} {outcomes[outcome]}" for outcome in (
+            Outcome.Completed, Outcome.AuthTimeout, Outcome.AuthReject,
+            Outcome.CampRefused)))
     print(f"logs:    {artifacts.logs_path}")
     print(f"records: {artifacts.records_path}")
     print(f"summary: {artifacts.summary_path}")

@@ -71,9 +71,14 @@ class TransmissionModel:
             raise ConfigError("transmission moments must be non-negative")
 
     def sample(self, rng: RngStream) -> float:
-        value = self.median_ms * float(np.exp(rng.normal(0.0, self.sigma)))
-        if rng.random() < self.outlier_prob:
-            value += rng.uniform(0.0, self.outlier_max_ms)
+        return float(self.draw(rng.gen, 1)[0])
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """`n` delays from one generator call per part."""
+        value = self.median_ms * np.exp(gen.normal(0.0, self.sigma, n))
+        spiked = gen.random(n) < self.outlier_prob
+        value[spiked] += gen.uniform(0.0, self.outlier_max_ms,
+                                     np.count_nonzero(spiked))
         return value
 
 

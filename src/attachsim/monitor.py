@@ -218,7 +218,7 @@ def schedule_reauth(policy: ReauthPolicy, day: tuple[float, float],
             f"cannot place {policy.count} triggers with spacing "
             f"{policy.min_spacing_ms} ms in a {span} ms range")
     free = span - reserved
-    offsets = sorted(rng.uniform(0.0, free) for _ in range(policy.count))
+    offsets = np.sort(rng.gen.uniform(0.0, free, policy.count)).tolist()
     times: list[float] = []
     for i, off in enumerate(offsets):
         t = quantize_ms(start + off + i * policy.min_spacing_ms)

@@ -1,28 +1,31 @@
-"""The 11-message network-attachment sequence and its per-attach driver.
+"""The 11-message network-attachment sequence and its per-device driver.
 
-Message timing is additive: each step's latency is sampled, quantized to
-the shared time lattice, and added to the clock before the message is
-stamped.  Because every timestamp lives on the lattice, the per-step
-latencies recovered downstream sum to the record span exactly.
+Message timing is additive: each step's latency is sampled and quantized
+to the shared time lattice, and a message is stamped at the attach start
+plus the latencies up to its step.  Because every timestamp lives on the
+lattice, the per-step latencies recovered downstream sum to the record
+span exactly.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import aka
 from .channel import SimChannel, auth_channel_elapsed
 from .core import (
+    TIME_QUANTUM_MS,
     ConfigError,
     EventClock,
     RngStream,
-    clamped_normal,
     fmt_ms,
     quantize_ceil_ms,
-    quantize_ms,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -139,7 +142,8 @@ class NetworkConfig:
 
     auth_timer_ms: float = 6000.0  # authentication supervision timer
     # RSRP-independent over-the-air component added to the authentication
-    # step; anything with sample(rng) -> float fits (see fleet.TransmissionModel).
+    # step; anything with draw(gen, n) -> array of n delays fits (see
+    # fleet.TransmissionModel).
     transmission: object | None = None
 
     def __post_init__(self):
@@ -147,87 +151,163 @@ class NetworkConfig:
             raise ConfigError("authentication timer must be positive")
 
 
-def _sample_step_ms(rng: RngStream, mean: float, std: float) -> float:
-    raw = clamped_normal(rng, mean, std, STEP_FLOOR_MS)
-    q = quantize_ms(raw)
-    return q if q >= _STEP_FLOOR_Q else _STEP_FLOOR_Q
+_LABELS = {step: (step.direction, step.name) for step in AttachStep}
+# codes of DeviceAttaches.outcomes
+OUTCOMES: tuple[Outcome, ...] = tuple(Outcome)
+_COMPLETED, _TIMEOUT, _REFUSED, _REJECT = (
+    OUTCOMES.index(o) for o in (Outcome.Completed, Outcome.AuthTimeout,
+                                Outcome.CampRefused, Outcome.AuthReject))
 
 
-def run_attach(profile: "DeviceProfile", channel: SimChannel,
-               network: NetworkConfig, clock: EventClock, rng: RngStream,
-               attach_seq: int = 0) -> AttachRecord:
-    """Drive one attach procedure and return its message trace.
+@dataclass(frozen=True, eq=False)
+class DeviceAttaches:
+    """One device's attaches as arrays, one row per attach.
 
-    Uplink latencies come from the device profile; the authentication
-    response additionally carries the SIM-channel elapsed time (remote
-    profiles derive it from the channel instead of the profile entry),
-    the algorithm's processing cost, and the over-the-air component.
-    Stochastic outcomes are encoded in the record, never raised.
+    `times` holds the lattice timestamp of every enabled step, one column
+    per entry of `steps`; attach i sent the first `counts[i]` of them (0:
+    the device never camped).  `outcomes` indexes OUTCOMES.  The remote
+    channel's transfer and processing totals of the authentication step
+    are NaN where the attach has none.
+    """
+
+    device_id: str
+    model: str
+    steps: tuple[AttachStep, ...]
+    times: np.ndarray
+    counts: np.ndarray
+    outcomes: np.ndarray
+    transfer_ms: np.ndarray
+    processing_ms: np.ndarray
+
+    @classmethod
+    def refused(cls, profile: "DeviceProfile", n: int) -> "DeviceAttaches":
+        """`n` attaches of a device that never camps."""
+        nan = np.full(n, np.nan)
+        return cls(_device_id(profile), profile.name, profile.enabled_steps,
+                   np.zeros((n, len(profile.enabled_steps))),
+                   np.zeros(n, dtype=np.int64),
+                   np.full(n, _REFUSED, dtype=np.int8), nan, nan)
+
+    def records(self) -> list[AttachRecord]:
+        """The attaches as AttachRecord message traces."""
+        device_id = self.device_id
+        labels = [_LABELS[step] for step in self.steps]
+        out = []
+        for seq, (row, count, code, transfer, processing) in enumerate(zip(
+                self.times.tolist(), self.counts.tolist(),
+                self.outcomes.tolist(), self.transfer_ms.tolist(),
+                self.processing_ms.tolist())):
+            out.append(AttachRecord(
+                device_id=device_id,
+                messages=[SignalingMessage(time, direction, device_id, name)
+                          for time, (direction, name) in zip(row[:count],
+                                                             labels)],
+                outcome=OUTCOMES[code], attach_seq=seq,
+                auth_transfer_ms=None if math.isnan(transfer) else transfer,
+                auth_processing_ms=None if math.isnan(processing)
+                else processing))
+        return out
+
+
+def _device_id(profile: "DeviceProfile") -> str:
+    return profile.name if profile.device_id is None else profile.device_id
+
+
+def _lattice(values: np.ndarray) -> np.ndarray:
+    """quantize_ms on an array (np.round also rounds half to even)."""
+    return np.round(values * 1024.0) / 1024.0
+
+
+def run_attaches(profile: "DeviceProfile", channel: SimChannel,
+                 network: NetworkConfig, starts, rng: RngStream
+                 ) -> DeviceAttaches:
+    """Drive one device's attach procedures, one per start time (ms).
+
+    Step latencies come from the device profile: one standard-normal
+    matrix (attaches x steps), floored at 0.1 ms and put on the lattice.
+    The authentication response additionally carries the SIM-channel
+    elapsed time (remote profiles derive it from the channel, once per
+    attach, instead of the profile entry), the algorithm's processing
+    cost and the over-the-air component.  Every attach runs the AKA
+    check on its own challenge; a failed check ends it at the
+    authentication request, an auth latency above the network timer at
+    the response.  A device runs one attach at a time: one that would
+    start at or before the previous one's last message starts one
+    lattice quantum after it instead.  Stochastic outcomes are encoded
+    in the result, never raised.
     """
     if profile.channel_kind != channel.kind:
         raise ConfigError(
             f"profile {profile.name!r} expects channel kind "
             f"{profile.channel_kind!r}, got {channel.kind!r}")
-
+    gen = rng.gen
+    steps = profile.enabled_steps
+    n, k = len(starts), len(steps)
+    request = steps.index(AttachStep.AuthenticationRequest)
+    auth = steps.index(AttachStep.AuthenticationResponse)
     alg = profile.auth_alg
-    k_net = profile.subscriber_key
-    k_sim = profile.sim_side_key()
 
-    messages: list[SignalingMessage] = []
-    outcome = Outcome.Completed
-    challenge: aka.AuthChallenge | None = None
-    transfer_ms: float | None = None
-    processing_ms: float | None = None
+    moments = np.array([profile.step_latency[step] for step in steps])
+    raw = np.maximum(moments[:, 0] + moments[:, 1]
+                     * gen.standard_normal((n, k)), STEP_FLOOR_MS)
+    cost = np.maximum(alg.latency_mean_ms + alg.latency_std_ms
+                      * gen.standard_normal(n), 0.0)
+    over_air = (0.0 if network.transmission is None
+                else network.transmission.draw(gen, n))
 
-    def emit(step: AttachStep) -> None:
-        messages.append(SignalingMessage(
-            time=clock.now, direction=step.direction,
-            device_id=profile.name if profile.device_id is None else profile.device_id,
-            message=step.name))
+    rands = gen.bytes(aka.KEY_LEN * n)
+    k_net, k_sim = profile.subscriber_key, profile.sim_side_key()
+    passed = np.empty(n, dtype=bool)
+    for i in range(n):
+        challenge = aka.challenge_for(
+            k_net, rands[aka.KEY_LEN * i:aka.KEY_LEN * (i + 1)], alg)
+        answer = aka.compute_response(k_sim, challenge.rand, challenge.autn,
+                                      alg)
+        passed[i] = not isinstance(answer, aka.AuthFailure) and aka.verify(
+            challenge.xres, answer.res)
 
-    for step in profile.enabled_steps:
-        if step == AttachStep.AttachRequest:
-            emit(step)
-            continue
+    transfer = np.full(n, np.nan)
+    processing = np.full(n, np.nan)
+    if channel.is_remote:
+        for i in np.flatnonzero(passed).tolist():
+            breakdown = auth_channel_elapsed(channel, rng)
+            transfer[i] = breakdown.transfer_total_ms
+            processing[i] = breakdown.processing_total_ms
+        raw[passed, auth] = transfer[passed] + processing[passed]
+    raw[:, auth] += cost
+    raw[:, auth] += over_air
+    latency = np.maximum(_lattice(raw), _STEP_FLOOR_Q)
+    latency[:, 0] = 0.0  # AttachRequest opens the attach at its start
 
-        if step == AttachStep.AuthenticationResponse:
-            assert challenge is not None, "sequence always contains step 3"
-            answer = aka.compute_response(k_sim, challenge.rand, challenge.autn, alg)
-            if isinstance(answer, aka.AuthFailure) or not aka.verify(
-                    challenge.xres, answer.res):
-                outcome = Outcome.AuthReject
-                break
-            if channel.is_remote:
-                breakdown = auth_channel_elapsed(channel, rng)
-                base = breakdown.total_ms
-                transfer_ms = breakdown.transfer_total_ms
-                processing_ms = breakdown.processing_total_ms
-            else:
-                mean, std = profile.step_latency[step]
-                base = clamped_normal(rng, mean, std, STEP_FLOOR_MS)
-            base += clamped_normal(rng, alg.latency_mean_ms, alg.latency_std_ms, 0.0)
-            if network.transmission is not None:
-                base += network.transmission.sample(rng)
-            latency = quantize_ms(base)
-            if latency < _STEP_FLOOR_Q:
-                latency = _STEP_FLOOR_Q
-            clock.advance(latency)
-            emit(step)
-            if latency > network.auth_timer_ms:
-                outcome = Outcome.AuthTimeout
-                break
-            continue
+    timed_out = passed & (latency[:, auth] > network.auth_timer_ms)
+    counts = np.where(passed, np.where(timed_out, auth + 1, k), request + 1)
+    outcomes = np.where(passed, np.where(timed_out, _TIMEOUT, _COMPLETED),
+                        _REJECT).astype(np.int8)
 
-        mean, std = profile.step_latency[step]
-        clock.advance(_sample_step_ms(rng, mean, std))
-        if step == AttachStep.AuthenticationRequest:
-            challenge = aka.generate_challenge(k_net, rng, alg)
-        emit(step)
+    # offsets from the attach start; sums of lattice values are exact
+    offsets = np.cumsum(latency, axis=1)
+    begin = _lattice(np.asarray(starts, dtype=float)).tolist()
+    last = -math.inf  # the device's latest message so far
+    for i, span in enumerate(offsets[np.arange(n), counts - 1].tolist()):
+        if begin[i] <= last:
+            begin[i] = last + TIME_QUANTUM_MS
+        last = begin[i] + span
+    return DeviceAttaches(_device_id(profile), profile.name, steps,
+                          np.asarray(begin)[:, None] + offsets, counts,
+                          outcomes, transfer, processing)
 
-    return AttachRecord(
-        device_id=messages[0].device_id if messages else profile.name,
-        messages=messages, outcome=outcome, attach_seq=attach_seq,
-        auth_transfer_ms=transfer_ms, auth_processing_ms=processing_ms)
+
+def run_attach(profile: "DeviceProfile", channel: SimChannel,
+               network: NetworkConfig, clock: EventClock, rng: RngStream,
+               attach_seq: int = 0) -> AttachRecord:
+    """Drive one attach procedure from the clock's time and return its
+    message trace: run_attaches for one start.  The clock ends at the
+    last message."""
+    record = run_attaches(profile, channel, network, [clock.now],
+                          rng).records()[0]
+    record.attach_seq = attach_seq
+    clock.advance(record.messages[-1].time - clock.now)
+    return record
 
 
 def validate_sequence(record: AttachRecord, profile: "DeviceProfile") -> ValidationReport:

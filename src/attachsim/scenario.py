@@ -15,6 +15,7 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,8 @@ from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
 from .core import (
     ConfigError,
     EmptyWindow,
-    EventClock,
     ParseError,
     RngStream,
-    TIME_QUANTUM_MS,
     read_section,
     read_value,
 )
@@ -47,17 +46,18 @@ from .monitor import (
     ReauthPolicy,
     Verdict,
     classify,
-    compute_step_latencies,
     schedule_reauth,
 )
 from .protocol import (
     ATTACH_SEQUENCE,
+    OUTCOMES,
     AttachRecord,
     AttachStep,
+    DeviceAttaches,
     NetworkConfig,
     Outcome,
     SignalingMessage,
-    run_attach,
+    run_attaches,
     step_named,
 )
 
@@ -176,6 +176,7 @@ def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
                                                      f"{ectx} profile")
         entries.append(FleetEntry(**entry))
     spec["fleet"] = tuple(entries)
+    _base_profiles(spec["fleet"])  # resolved only to be checked
 
     channels = read_section(spec.get("channels", {}), f"{ctx} channels",
                             dict.fromkeys(CHANNEL_KINDS, dict))
@@ -199,149 +200,175 @@ class ScenarioArtifacts:
     logs_path: Path
     records_path: Path
     summary_path: Path
-    records: dict[str, list[AttachRecord]]
+    devices: tuple[DeviceAttaches, ...]  # in fleet order
+
+    @cached_property
+    def records(self) -> dict[str, list[AttachRecord]]:
+        """Per device, its attaches as message traces; built on first use."""
+        return {dev.device_id: dev.records() for dev in self.devices}
+
+    def outcome_counts(self) -> dict[Outcome, int]:
+        codes = np.concatenate([dev.outcomes for dev in self.devices])
+        return dict(zip(OUTCOMES, np.bincount(
+            codes, minlength=len(OUTCOMES)).tolist()))
 
 
-def _resolve_profile(entry: FleetEntry, catalog: dict[str, DeviceProfile]
-                     ) -> DeviceProfile:
-    if isinstance(entry.profile, DeviceProfile):
-        profile = entry.profile
-    elif isinstance(entry.profile, str):
-        if entry.profile not in catalog:
-            raise ConfigError(f"unknown profile {entry.profile!r}; builtin: "
-                              f"{sorted(catalog)}")
-        profile = catalog[entry.profile]
-    else:
-        profile = _parse_inline_profile(entry.profile, "inline profile")
-    if entry.wrong_key:
-        profile = replace(profile, auth_misconfigured=True)
-    return profile
+def _base_profiles(fleet: tuple[FleetEntry, ...]) -> list[DeviceProfile]:
+    """The profile each fleet entry names, before any `wrong_key`.
+
+    A name stands for one profile: the channel, the device ids and the
+    summary column are the name's, so two entries naming different
+    profiles alike are an error.
+    """
+    catalog = builtin_profiles()
+    seen: dict[str, DeviceProfile] = {}
+    out = []
+    for entry in fleet:
+        if isinstance(entry.profile, DeviceProfile):
+            profile = entry.profile
+        elif isinstance(entry.profile, str):
+            if entry.profile not in catalog:
+                raise ConfigError(f"unknown profile {entry.profile!r}; "
+                                  f"builtin: {sorted(catalog)}")
+            profile = catalog[entry.profile]
+        else:
+            profile = _parse_inline_profile(entry.profile, "inline profile")
+        if seen.setdefault(profile.name, profile) != profile:
+            raise ConfigError(f"fleet: two different profiles are named "
+                              f"{profile.name!r}")
+        out.append(profile)
+    return out
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
     """Simulate the configured fleet and write logs, records, and summary."""
+    profiles = _base_profiles(config.fleet)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = RadioEnvironment(config.rsrp_dbm)
     network = NetworkConfig(auth_timer_ms=config.auth_timer_ms,
                             transmission=config.transmission)
-    catalog = builtin_profiles()
+    policy = ReauthPolicy(config.attaches_per_device, config.min_spacing_ms)
     root = RngStream(config.seed)
 
-    channel_cache: dict[str, SimChannel] = {}
-
-    def channel_of(profile: DeviceProfile) -> SimChannel:
-        if profile.name not in channel_cache:
-            channel_cache[profile.name] = channel_for(
-                profile, config.channels.get(profile.channel_kind),
-                calibrate=config.calibrate)
-        return channel_cache[profile.name]
-
-    records: dict[str, list[AttachRecord]] = {}
-    model_order: list[str] = []
+    channels: dict[str, SimChannel] = {}
+    devices: list[DeviceAttaches] = []
     per_model_count: dict[str, int] = {}
-    device_index = 0
-    for entry in config.fleet:
-        base_profile = _resolve_profile(entry, catalog)
-        if base_profile.name not in model_order:
-            model_order.append(base_profile.name)
-        channel = channel_of(base_profile)
+    for entry, base_profile in zip(config.fleet, profiles):
+        name = base_profile.name
+        if name not in channels:
+            channels[name] = channel_for(
+                base_profile, config.channels.get(base_profile.channel_kind),
+                calibrate=config.calibrate)
+        if entry.wrong_key:
+            base_profile = replace(base_profile, auth_misconfigured=True)
+        camps = attempt_camp(base_profile, env) is CampDecision.Proceed
         for _ in range(entry.count):
-            ordinal = per_model_count.get(base_profile.name, 0)
-            per_model_count[base_profile.name] = ordinal + 1
-            device_id = f"{base_profile.name}-{ordinal:03d}"
-            profile = base_profile.for_device(device_id)
-            rng = root.substream(device_index)
-            device_index += 1
-            schedule = schedule_reauth(
-                ReauthPolicy(config.attaches_per_device, config.min_spacing_ms),
-                (0.0, config.day_span_ms), rng)
-            recs: list[AttachRecord] = []
-            last_ms = -math.inf  # the device's latest message so far
-            for seq, start in enumerate(schedule):
-                if attempt_camp(profile, env) is CampDecision.CampRefused:
-                    recs.append(AttachRecord(device_id=device_id, messages=[],
-                                             outcome=Outcome.CampRefused,
-                                             attach_seq=seq))
-                    continue
-                # a device runs one attach at a time: one that would overlap
-                # the previous one starts right after it instead
-                clock = EventClock(start if start > last_ms
-                                   else last_ms + TIME_QUANTUM_MS)
-                rec = run_attach(profile, channel, network, clock, rng,
-                                 attach_seq=seq)
-                if rec.messages:
-                    last_ms = rec.messages[-1].time
-                recs.append(rec)
-            records[device_id] = recs
+            ordinal = per_model_count.get(name, 0)
+            per_model_count[name] = ordinal + 1
+            profile = base_profile.for_device(f"{name}-{ordinal:03d}")
+            rng = root.substream(len(devices))
+            schedule = schedule_reauth(policy, (0.0, config.day_span_ms), rng)
+            devices.append(
+                run_attaches(profile, channels[name], network, schedule, rng)
+                if camps else DeviceAttaches.refused(profile, len(schedule)))
 
     logs_path = out / "logs.jsonl"
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
-    _write_logs(logs_path, records)
-    _write_records(records_path, records)
-    _write_summary(summary_path, records, model_order)
+    _write_logs(logs_path, devices)
+    _write_records(records_path, devices)
+    _write_summary(summary_path, devices, list(per_model_count))
     return ScenarioArtifacts(out_dir=out, logs_path=logs_path,
                              records_path=records_path,
-                             summary_path=summary_path, records=records)
+                             summary_path=summary_path, devices=tuple(devices))
 
 
-def _write_logs(path: Path, records: dict[str, list[AttachRecord]]) -> None:
-    messages: list[SignalingMessage] = []
-    for recs in records.values():
-        for rec in recs:
-            messages.extend(rec.messages)
-    order = {step.name: step.value for step in AttachStep}
-    messages.sort(key=lambda m: (m.time, m.device_id, order[m.message]))
+_LOG_CHUNK = 4096  # lines per write
+
+
+def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
+    """Every message, sorted by (time, device_id, step), written a chunk of
+    lines at a time.  Each line is its `fmt_ms` time plus a precomputed
+    tail per (device, step), as SignalingMessage.to_json_line writes it."""
+    width = len(AttachStep)
+    tails = [""] * (width * len(devices))  # by device rank * width + step
+    times, keys = [], []
+    ranked = sorted(devices, key=lambda dev: dev.device_id)
+    for rank, dev in enumerate(ranked):
+        device_id = json.dumps(dev.device_id)
+        for step in dev.steps:
+            tails[rank * width + step] = (
+                f', "layer": "NAS", "direction": "{step.direction}", '
+                f'"device_id": {device_id}, "message": "{step.name}"}}\n')
+        sent = np.arange(len(dev.steps)) < dev.counts[:, None]
+        times.append(dev.times[sent])
+        keys.append(np.broadcast_to(rank * width + np.array(dev.steps),
+                                    sent.shape)[sent])
+    time = np.concatenate(times)
+    key = np.concatenate(keys)
+    order = np.lexsort((key, time))
     with path.open("w") as f:
-        for msg in messages:
-            f.write(msg.to_json_line())
-            f.write("\n")
+        for lo in range(0, order.size, _LOG_CHUNK):
+            chunk = order[lo:lo + _LOG_CHUNK]
+            f.write("".join([f'{{"time": {t:.10f}{tails[j]}' for t, j in zip(
+                time[chunk].tolist(), key[chunk].tolist())]))
 
 
-def _write_records(path: Path, records: dict[str, list[AttachRecord]]) -> None:
+def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
+    """One JSON row per attach, devices sorted by id, as json.dumps writes
+    it: floats by repr, a missing value as null."""
+    def number(value: float) -> str:
+        return "null" if math.isnan(value) else repr(value)
+
     with path.open("w") as f:
-        for device_id in sorted(records):
-            for rec in records[device_id]:
-                steps = {}
-                prev = None
-                for msg in rec.messages:
-                    steps[msg.message] = (0.0 if prev is None
-                                          else msg.time - prev)
-                    prev = msg.time
-                row = {
-                    "device_id": rec.device_id,
-                    "attach_seq": rec.attach_seq,
-                    "outcome": rec.outcome.value,
-                    "start_ms": rec.messages[0].time if rec.messages else None,
-                    "end_ms": rec.messages[-1].time if rec.messages else None,
-                    "steps": steps,
-                    "auth_transfer_ms": rec.auth_transfer_ms,
-                    "auth_processing_ms": rec.auth_processing_ms,
-                }
-                f.write(json.dumps(row))
-                f.write("\n")
+        for dev in sorted(devices, key=lambda d: d.device_id):
+            head = f'{{"device_id": {json.dumps(dev.device_id)}, "attach_seq": '
+            keys = [f'"{step.name}": ' for step in dev.steps]
+            rows = []
+            for seq, (times, gaps, count, code, transfer, processing) in \
+                    enumerate(zip(dev.times.tolist(),
+                                  np.diff(dev.times, axis=1).tolist(),
+                                  dev.counts.tolist(), dev.outcomes.tolist(),
+                                  dev.transfer_ms.tolist(),
+                                  dev.processing_ms.tolist())):
+                if count:
+                    steps = ", ".join([keys[0] + "0.0"] + [
+                        key + repr(gap)
+                        for key, gap in zip(keys[1:count], gaps)])
+                    span = f'{times[0]!r}, "end_ms": {times[count - 1]!r}'
+                else:
+                    steps, span = "", 'null, "end_ms": null'
+                rows.append(
+                    f'{head}{seq}, "outcome": "{OUTCOMES[code].value}", '
+                    f'"start_ms": {span}, "steps": {{{steps}}}, '
+                    f'"auth_transfer_ms": {number(transfer)}, '
+                    f'"auth_processing_ms": {number(processing)}}}\n')
+            f.write("".join(rows))
 
 
-def _write_summary(path: Path, records: dict[str, list[AttachRecord]],
+def _write_summary(path: Path, devices: list[DeviceAttaches],
                    model_order: list[str]) -> None:
-    """Latency table: one row per step plus totals, one column per model."""
-    per_model: dict[str, dict[AttachStep, list[float]]] = {m: {} for m in model_order}
-    totals: dict[str, list[float]] = {m: [] for m in model_order}
-    enabled: dict[str, set[AttachStep]] = {m: set() for m in model_order}
-    for device_id, recs in records.items():
-        model = device_id.rsplit("-", 1)[0]
-        for rec in recs:
-            if not rec.messages:
-                continue
-            enabled[model].update(rec.steps)
-            for sample in compute_step_latencies(rec):
-                per_model[model].setdefault(sample.step, []).append(sample.latency)
-            if rec.outcome is Outcome.Completed:
-                totals[model].append(rec.span_ms)
+    """Latency table: one row per step plus totals, one column per model.
 
-    def cell(values: list[float]) -> str:
-        arr = np.asarray(values)
+    Each cell's values are concatenated in device, then attach order."""
+    per_model: dict[str, dict[AttachStep, list[np.ndarray]]] = {
+        m: {} for m in model_order}
+    totals: dict[str, list[np.ndarray]] = {m: [] for m in model_order}
+    for dev in devices:
+        columns = per_model[dev.model]
+        gaps = np.diff(dev.times, axis=1)
+        for j, step in enumerate(dev.steps):
+            sent = dev.counts > j
+            if sent.any():
+                values = columns.setdefault(step, [])
+                if j:  # AttachRequest has no latency
+                    values.append(gaps[sent, j - 1])
+        done = dev.outcomes == OUTCOMES.index(Outcome.Completed)
+        totals[dev.model].append(dev.times[done, -1] - dev.times[done, 0])
+
+    def cell(parts: list[np.ndarray]) -> str:
+        arr = np.concatenate(parts)
         std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
         return f"{float(np.mean(arr)):.1f}±{std:.1f}"
 
@@ -349,14 +376,15 @@ def _write_summary(path: Path, records: dict[str, list[AttachRecord]],
     for step in ATTACH_SEQUENCE:
         cells = []
         for model in model_order:
-            if step not in enabled[model]:
+            if step not in per_model[model]:
                 cells.append("/")
             elif step == AttachStep.AttachRequest:
                 cells.append("0.0±0.0")
             else:
-                cells.append(cell(per_model[model].get(step, [])))
+                cells.append(cell(per_model[model][step]))
         lines.append(f"{step.value},{step.name},{step.direction}," + ",".join(cells))
-    total_cells = [cell(totals[m]) if totals[m] else "/" for m in model_order]
+    total_cells = [cell(totals[m]) if any(t.size for t in totals[m]) else "/"
+                   for m in model_order]
     lines.append("-,Total,-," + ",".join(total_cells))
     path.write_text("\n".join(lines) + "\n")
 

@@ -342,6 +342,11 @@ def test_channel_validation():
             replace(remote_udp(), backoff_factor=bad)
         with pytest.raises(ConfigError):
             replace(remote_udp(), backoff_cap=bad)
+    # a negative ack cost would break the two-RTT transfer floor
+    for bad in (-30.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            remote_tcp(ack_cost_ms=bad)
+    assert remote_tcp(ack_cost_ms=0.0).ack_cost_ms == 0.0
 
 
 def test_rtt_from_file_matches_builtin(tmp_path):

@@ -15,13 +15,15 @@ from attachsim import (
     Outcome,
     RngStream,
     SignalingMessage,
+    TransmissionModel,
     coupled_serial,
     run_attach,
+    run_attaches,
     step_named,
     validate_sequence,
 )
 from attachsim.core import TIME_QUANTUM_MS
-from attachsim.protocol import OPTIONAL_STEPS, _STEP_FLOOR_Q
+from attachsim.protocol import OPTIONAL_STEPS, OUTCOMES, _STEP_FLOOR_Q
 
 EXPECTED_SEQUENCE = [
     ("AttachRequest", "Uplink"),
@@ -269,3 +271,66 @@ def test_event_clock_rejects_rewind():
     assert clock.now == 15.0
     with pytest.raises(ValueError):
         clock.advance(-0.1)
+
+
+def test_run_attach_is_first_attach_of_run_attaches(profiles, channels):
+    network = NetworkConfig(transmission=TransmissionModel())
+    for name, builtin in profiles.items():
+        for wrong_key in (False, True):
+            profile = replace(builtin, auth_misconfigured=wrong_key
+                              ).for_device(f"{name}-000")
+            clock = EventClock(1234.5)
+            single = run_attach(profile, channels[name], network, clock,
+                                RngStream(7), attach_seq=3)
+            first = run_attaches(profile, channels[name], network, [1234.5],
+                                 RngStream(7)).records()[0]
+            assert single.attach_seq == 3 and first.attach_seq == 0
+            assert single.messages == first.messages, name
+            assert single.outcome is first.outcome
+            assert single.outcome is (Outcome.AuthReject if wrong_key
+                                      else Outcome.Completed)
+            assert (single.auth_transfer_ms, single.auth_processing_ms) == \
+                (first.auth_transfer_ms, first.auth_processing_ms)
+            assert (single.auth_transfer_ms is None) is (
+                wrong_key or not channels[name].is_remote)
+            assert clock.now == single.messages[-1].time
+
+
+def test_run_attaches_outcome_per_attach(plain_channel):
+    slow = dict(_flat_profile(1.0, 0.0).step_latency)
+    slow[AttachStep.AuthenticationResponse] = (100.0, 50.0)
+    profile = _flat_profile(1.0, 0.0, step_latency=slow)
+    network = NetworkConfig(auth_timer_ms=100.0)
+    starts = [1000.0 * i for i in range(200)]
+    dev = run_attaches(profile, plain_channel, network, starts, RngStream(3))
+    auth = dev.steps.index(AttachStep.AuthenticationResponse)
+    latency = dev.times[:, auth] - dev.times[:, auth - 1]
+    timed_out = latency > 100.0
+    assert 50 < timed_out.sum() < 150
+    assert [OUTCOMES[c] for c in dev.outcomes] == [
+        Outcome.AuthTimeout if t else Outcome.Completed for t in timed_out]
+    assert (dev.counts == [auth + 1 if t else 11 for t in timed_out]).all()
+    assert (dev.times[:, 0] == starts).all()
+    assert dev.times.shape == (200, 11)
+
+    rejected = run_attaches(replace(profile, auth_misconfigured=True),
+                            plain_channel, network, starts, RngStream(3))
+    assert {OUTCOMES[c] for c in rejected.outcomes} == {Outcome.AuthReject}
+    assert (rejected.counts == auth).all()  # up to AuthenticationRequest
+
+
+def test_run_attaches_serialises_overlap(plain_channel):
+    profile = _flat_profile(10.0, 0.0)
+    dev = run_attaches(profile, plain_channel, NetworkConfig(),
+                       [0.0, 5.0, 500.0], RngStream(1))
+    ends = dev.times[:, -1]
+    assert ends[0] == 100.0
+    # the second attach would start mid-way through the first
+    assert dev.times[1, 0] == 100.0 + TIME_QUANTUM_MS
+    assert dev.times[2, 0] == 500.0
+
+
+def test_run_attaches_rejects_channel_kind_mismatch(profiles, channels):
+    with pytest.raises(ConfigError):
+        run_attaches(profiles["SMBHyb_rem"], channels["FairPhone5G"],
+                     NetworkConfig(), [0.0], RngStream(1))

@@ -2,10 +2,14 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from attachsim import (
     ConfigError,
@@ -22,6 +26,9 @@ from attachsim import (
     run_scenario,
 )
 from attachsim.cli import main
+from attachsim.fleet import builtin_profiles
+from attachsim.monitor import compute_step_latencies
+from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
 
 MINIMAL = {
     "version": 1,
@@ -68,6 +75,9 @@ def test_parse_config_fail_closed():
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL,
                       "fleet": [{"profile": "FairPhone5G", "count": 0}]})
+    with pytest.raises(ConfigError):
+        parse_config({**MINIMAL,
+                      "fleet": [{"profile": "NoSuchPhone", "count": 1}]})
 
 
 def test_parse_config_inline_profile():
@@ -449,6 +459,8 @@ _BAD_CONFIGS = {
     "sessions_auth": _with(("channels", "remote_tcp", "sessions_auth"), "15"),
     "unused_channel_key": _with(("channels", "remote_udp", "bogus"), 1),
     "loss_prob_one": _with(("channels", "remote_udp", "loss_prob"), 1.0),
+    "ack_cost_negative": _with(("channels", "remote_tcp", "ack_cost_ms"),
+                               -30.0),
     "critical_string": _with(("detect", "critical"), "inf"),
     "critical_nan": _with(("detect", "critical"), math.nan),
     "critical_bool": _with(("detect", "critical"), True),
@@ -587,3 +599,204 @@ def test_summary_table_shape(tmp_path):
     assert body["IdentityRequest"][4] == "/"  # masked for SMBPor_rem
     assert re.match(r"^\d+\.\d±\d+\.\d$", body["AuthenticationResponse"][3])
     assert body["Total"][0] == "-"
+
+
+# A fleet that reaches every outcome over both relays: relayed attaches
+# (about 2.3 s) overlap at 100 ms spacing, the 2.2 s timer cuts some
+# TCP-relay auths short, a wrong key rejects, and a device whose
+# sensitivity is above the cell's signal never camps.
+_EVERY_OUTCOME = {
+    "version": 1, "seed": 17, "attaches_per_device": 12,
+    "day_span_ms": 30_000.0, "min_spacing_ms": 100.0, "auth_timer_ms": 2200.0,
+    "fleet": [{"profile": "SMBHyb_rem", "count": 2},
+              {"profile": "SMBPor_rem", "count": 1},
+              {"profile": "FairPhone5G", "count": 2},
+              {"profile": "SMBHyb_rem", "count": 1, "wrong_key": True},
+              {"profile": dict(_INLINE, name="Deaf", sensitivity_rsrp=-70.0),
+               "count": 1}],
+}
+
+
+def _reference_artifacts(records, model_order):
+    """logs.jsonl, records.jsonl and summary.csv rendered message by
+    message from AttachRecords, the way the writers did before they read
+    arrays."""
+    messages = [m for recs in records.values() for rec in recs
+                for m in rec.messages]
+    messages.sort(key=lambda m: (m.time, m.device_id, m.step.value))
+    logs = "".join(m.to_json_line() + "\n" for m in messages)
+
+    rows = []
+    for device_id in sorted(records):
+        for rec in records[device_id]:
+            steps, prev = {}, None
+            for msg in rec.messages:
+                steps[msg.message] = 0.0 if prev is None else msg.time - prev
+                prev = msg.time
+            rows.append(json.dumps({
+                "device_id": rec.device_id, "attach_seq": rec.attach_seq,
+                "outcome": rec.outcome.value,
+                "start_ms": rec.messages[0].time if rec.messages else None,
+                "end_ms": rec.messages[-1].time if rec.messages else None,
+                "steps": steps, "auth_transfer_ms": rec.auth_transfer_ms,
+                "auth_processing_ms": rec.auth_processing_ms}) + "\n")
+
+    per_model = {m: {} for m in model_order}
+    totals = {m: [] for m in model_order}
+    enabled = {m: set() for m in model_order}
+    for device_id, recs in records.items():
+        model = device_id.rsplit("-", 1)[0]
+        for rec in recs:
+            if not rec.messages:
+                continue
+            enabled[model].update(rec.steps)
+            for sample in compute_step_latencies(rec):
+                per_model[model].setdefault(sample.step, []).append(
+                    sample.latency)
+            if rec.outcome is Outcome.Completed:
+                totals[model].append(rec.span_ms)
+
+    def cell(values):
+        arr = np.asarray(values)
+        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        return f"{float(np.mean(arr)):.1f}±{std:.1f}"
+
+    lines = ["step,message,direction," + ",".join(model_order)]
+    for step in ATTACH_SEQUENCE:
+        cells = ["/" if step not in enabled[m] else "0.0±0.0"
+                 if step == AttachStep.AttachRequest
+                 else cell(per_model[m][step]) for m in model_order]
+        lines.append(f"{step.value},{step.name},{step.direction},"
+                     + ",".join(cells))
+    lines.append("-,Total,-," + ",".join(cell(totals[m]) if totals[m] else "/"
+                                         for m in model_order))
+    return logs, "".join(rows), "\n".join(lines) + "\n"
+
+
+def test_writers_match_record_oracle(tmp_path):
+    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
+    outcomes = art.outcome_counts()
+    assert all(outcomes[o] for o in Outcome), outcomes
+    assert "records" not in vars(art)  # built on first use only
+    seen = {(rec.device_id.rsplit("-", 1)[0], rec.outcome)
+            for recs in art.records.values() for rec in recs}
+    assert {("SMBHyb_rem", Outcome.AuthTimeout), ("SMBPor_rem", Outcome.Completed),
+            ("SMBHyb_rem", Outcome.AuthReject),
+            ("Deaf", Outcome.CampRefused)} <= seen
+    sent = [r for recs in art.records.values() for r in recs if r.messages]
+    assert any(b.messages[0].time - a.messages[-1].time == 1 / 1024
+               for a, b in zip(sent, sent[1:])), "no attach was serialised"
+    assert {o: sum(r.outcome is o for recs in art.records.values()
+                   for r in recs) for o in Outcome} == outcomes
+
+    logs, records, summary = _reference_artifacts(
+        art.records, ["SMBHyb_rem", "SMBPor_rem", "FairPhone5G", "Deaf"])
+    assert art.logs_path.read_text() == logs
+    assert art.records_path.read_text() == records
+    assert art.summary_path.read_text() == summary
+
+
+def test_cli_simulate_prints_outcomes_without_building_records(
+        tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("records built")
+
+    monkeypatch.setattr(DeviceAttaches, "records", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_EVERY_OUTCOME))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "simulated 7 devices, 84 attach attempts"
+    rows = [json.loads(line) for line in
+            (tmp_path / "o" / "records.jsonl").read_text().splitlines()]
+    counts = {o.value: sum(r["outcome"] == o.value for r in rows)
+              for o in Outcome}
+    assert out[1] == (
+        f"outcomes: Completed {counts['Completed']}, AuthTimeout "
+        f"{counts['AuthTimeout']}, AuthReject {counts['AuthReject']}, "
+        f"CampRefused {counts['CampRefused']}")
+
+
+def _inline_relay(target_ms: float) -> dict:
+    relay = builtin_profiles()["SMBHyb_rem"]
+    return {"name": "SMBHyb_rem", "channel_kind": "remote_tcp",
+            "sensitivity_rsrp": -85.0, "calibration_target_ms": target_ms,
+            "optional_steps": [s.name for s in relay.optional_steps],
+            "steps": {s.name: list(v) for s, v in relay.step_latency.items()}}
+
+
+def test_profile_name_collision_is_an_error(tmp_path, capsys):
+    # the inline relay would calibrate to 400 ms (and fail: the transfers
+    # alone take longer); under the builtin's name it used to borrow the
+    # builtin's channel and column silently
+    raw = dict(MINIMAL, fleet=[{"profile": "SMBHyb_rem", "count": 1},
+                               {"profile": _inline_relay(400.0), "count": 1}])
+    with pytest.raises(ConfigError, match="two different profiles are named "
+                                          "'SMBHyb_rem'"):
+        parse_config(raw)
+    cfg = ScenarioConfig(seed=3, fleet=(FleetEntry("SMBHyb_rem", 1),
+                                        FleetEntry(_inline_relay(400.0), 1)))
+    with pytest.raises(ConfigError, match="two different profiles"):
+        run_scenario(cfg, tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+    # the same profile listed twice stays legal, with or without wrong_key
+    for again in ({"profile": "SMBHyb_rem", "count": 1, "wrong_key": True},
+                  {"profile": "SMBHyb_rem", "count": 2}):
+        cfg = parse_config(dict(MINIMAL, attaches_per_device=2, fleet=[
+            {"profile": "SMBHyb_rem", "count": 1}, again]))
+        art = run_scenario(cfg, tmp_path / "ok")
+        assert len(art.devices) == 1 + again["count"]
+    inline = dict(_INLINE, name="Twin")
+    cfg = parse_config(dict(MINIMAL, attaches_per_device=2, fleet=[
+        {"profile": inline, "count": 1}, {"profile": inline, "count": 1}]))
+    assert [d.device_id for d in run_scenario(cfg, tmp_path / "twin").devices] \
+        == ["Twin-000", "Twin-001"]
+
+
+_ROUND_TRIP_MODELS = ("FairPhone5G", "GalaxyS3", "SMBPor_loc", "SMBHyb_rem",
+                      "SMBPor_rem", "GalaxyNote4")
+
+
+@st.composite
+def _small_configs(draw):
+    fleet = [FleetEntry(draw(st.sampled_from(_ROUND_TRIP_MODELS)),
+                        draw(st.integers(1, 2)), wrong_key=draw(st.booleans()))
+             for _ in range(draw(st.integers(1, 3)))]
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2 ** 16)), fleet=tuple(fleet),
+        attaches_per_device=draw(st.integers(1, 6)),
+        day_span_ms=draw(st.sampled_from([10_000.0, 86_400_000.0])),
+        # 1 ms spacing in a 10 s day overlaps any relayed attach
+        min_spacing_ms=draw(st.sampled_from([1.0, 100.0, 1_000.0])),
+        # 50 ms times out even a phone's auth, 1.8 s most relayed ones
+        auth_timer_ms=draw(st.sampled_from([6000.0, 1800.0, 50.0])),
+        # below -85 dBm only GalaxyNote4 and GalaxyS3 camp
+        rsrp_dbm=draw(st.sampled_from([-71.0, -100.0])))
+
+
+@given(_small_configs())
+def test_property_logs_round_trip_to_records(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        art = run_scenario(cfg, out)
+        parsed = parse_logs(art.logs_path)
+    expected = {}
+    for device_id, recs in art.records.items():
+        sent = [r for r in recs if r.outcome is not Outcome.CampRefused]
+        assert all(r.messages for r in sent)
+        if sent:
+            expected[device_id] = sent
+
+    def shape(recs):
+        return [(r.outcome, [(m.message, m.time) for m in r.messages])
+                for r in recs]
+
+    assert sorted(parsed) == sorted(expected)
+    for device_id, recs in expected.items():
+        assert shape(parsed[device_id]) == shape(recs), device_id
