@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, RngStream, clamped_normal
+from .core import ConfigError, RngStream
 
 COUPLED_SERIAL = "coupled_serial"
 REMOTE_TCP = "remote_tcp"
@@ -159,9 +159,14 @@ class OnlinePenalty:
             raise ConfigError("online penalty moments must be non-negative")
 
     def sample(self, rng: RngStream) -> float:
+        return float(self.draw(rng.gen, 1)[0])
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """`n` penalties, clamped at 0, in one generator call (none when
+        disabled)."""
         if not self.enabled:
-            return 0.0
-        return clamped_normal(rng, self.mean_ms, self.std_ms, 0.0)
+            return np.zeros(n)
+        return np.maximum(gen.normal(self.mean_ms, self.std_ms, n), 0.0)
 
 
 @dataclass(frozen=True)
@@ -315,10 +320,11 @@ def build_channel(kind: str, **kwargs) -> SimChannel:
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
-def _transfer_ms(channel: SimChannel, gen: np.random.Generator,
-                 sessions: int, handshake: bool) -> float:
-    """Elapsed time of `sessions` transfer sessions, plus the connection
-    setup when `handshake` is set, from one generator call per kind of draw.
+def _transfer_ms(channel: SimChannel, gen: np.random.Generator, m: int,
+                 sessions: int, handshake: bool) -> np.ndarray:
+    """Elapsed times of `m` independent runs of `sessions` transfer
+    sessions, plus the connection setup when `handshake` is set, from one
+    generator call per kind of draw; row i of every draw is run i.
 
     Coupled: one serial transfer per session.  Remote: each session is two
     round-trip transfers, plus per-packet ack cost on the reliable
@@ -327,24 +333,25 @@ def _transfer_ms(channel: SimChannel, gen: np.random.Generator,
     """
     if channel.kind == COUPLED_SERIAL:
         draws = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
-                           sessions)
-        return float(np.maximum(draws, SERIAL_FLOOR_MS).sum())
+                           (m, sessions))
+        return np.maximum(draws, SERIAL_FLOOR_MS).sum(axis=1)
     setup = 0.5 * channel.handshake_packets if handshake else 0.0
-    rtts = channel.rtt.draw(gen, 2 * sessions + (setup > 0))
+    width = 2 * sessions + (setup > 0)
+    rtts = channel.rtt.draw(gen, m * width).reshape(m, width)
     if setup:
-        elapsed = setup * float(rtts[0]) + float(rtts[1:].sum())
+        elapsed = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
     else:
-        elapsed = float(rtts.sum())
+        elapsed = rtts.sum(axis=1)
     packets = sessions * channel.packets_per_session
     if channel.kind == REMOTE_TCP:
         return elapsed + packets * channel.ack_cost_ms
     if channel.loss_prob > 0.0 and packets:
         # every packet is retried until delivered: lost attempts per packet
-        losses = gen.geometric(1.0 - channel.loss_prob, packets) - 1
-        top = int(losses.max())
+        losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
+        top = int(losses.max(initial=0))
         if top:
-            elapsed += channel.retransmit_timeout_ms * float(
-                _backoff_prefix(channel, top)[losses].sum())
+            elapsed += channel.retransmit_timeout_ms * _backoff_prefix(
+                channel, top)[losses].sum(axis=1)
     return elapsed
 
 
@@ -360,19 +367,28 @@ def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
 
 def transfer_session(channel: SimChannel, rng: RngStream) -> float:
     """Elapsed time of one transfer session (see _transfer_ms)."""
-    return _transfer_ms(channel, rng.gen, 1, handshake=False)
+    return float(_transfer_ms(channel, rng.gen, 1, 1, handshake=False)[0])
+
+
+def auth_channel_draws(channel: SimChannel, gen: np.random.Generator, m: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer and processing totals of `m` authentication phases, one
+    generator call per kind of draw: the round trips, the datagram
+    losses, the online penalty, then the (m, phases) processing matrix."""
+    transfer = _transfer_ms(channel, gen, m, channel.sessions_auth,
+                            handshake=True)
+    transfer += channel.online.draw(gen, m)
+    means, stds = channel._phase_moments
+    draws = means + stds * gen.standard_normal((m, len(means)))
+    return transfer, np.maximum(draws, PROCESSING_FLOOR_MS).sum(axis=1)
 
 
 def auth_channel_elapsed(channel: SimChannel, rng: RngStream) -> ChannelBreakdown:
-    """Transfer and processing totals for the authentication phase."""
-    gen = rng.gen
-    transfer = _transfer_ms(channel, gen, channel.sessions_auth, handshake=True)
-    transfer += channel.online.sample(rng)
-    means, stds = channel._phase_moments
-    draws = means + stds * gen.standard_normal(len(means))
-    processing = float(np.maximum(draws, PROCESSING_FLOOR_MS).sum())
-    return ChannelBreakdown(transfer_total_ms=transfer,
-                            processing_total_ms=processing)
+    """Transfer and processing totals for one authentication phase: the
+    one-row case of auth_channel_draws."""
+    transfer, processing = auth_channel_draws(channel, rng.gen, 1)
+    return ChannelBreakdown(transfer_total_ms=float(transfer[0]),
+                            processing_total_ms=float(processing[0]))
 
 
 def min_transfer_floor(channel: SimChannel) -> float:

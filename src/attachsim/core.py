@@ -80,6 +80,9 @@ def read_section(raw, ctx: str, schema: dict, required=()) -> dict:
 # span with zero rounding error.  They also have at most ten fractional
 # decimal digits, so a %.10f rendering round-trips bit-for-bit through logs.
 TIME_QUANTUM_MS = 1.0 / 1024.0
+# Every timestamp stays below this: 1024 t is then an integer below 2**53,
+# the range where lattice arithmetic and rendering are exact.
+TIME_LIMIT_MS = 2.0 ** 43
 
 
 def quantize_ms(value: float) -> float:
@@ -95,6 +98,21 @@ def quantize_ceil_ms(value: float) -> float:
 def fmt_ms(value: float) -> str:
     """Exact decimal rendering of a lattice timestamp."""
     return f"{value:.10f}"
+
+
+# Lattice values rendered from their tick count k = 1024 t, an integer
+# below 2**53: t is k >> 10 plus (k & 1023)/1024, and j/1024 is
+# j * 9765625 / 10**10, exactly ten decimals.  So for 0 <= k < 2**53,
+# f"{k >> 10}{DECIMALS[k & 1023]}" == fmt_ms(k / 1024).
+DECIMALS = tuple(f".{j * 9765625:010d}" for j in range(1024))
+# The same decimals as repr writes them: trailing zeros dropped, one digit
+# kept.  f"{k >> 10}{SHORT_DECIMALS[k & 1023]}" == repr(k / 1024) for
+# 0 <= k < SHORT_TICKS (2**19 ms): two decimals of at most ten digits
+# differ by 1e-10 or more, over half a float's spacing there, so no
+# shorter decimal rounds to k / 1024.
+SHORT_DECIMALS = tuple(d.rstrip("0") if j else ".0"
+                       for j, d in enumerate(DECIMALS))
+SHORT_TICKS = 2 ** 29
 
 
 class RngStream:

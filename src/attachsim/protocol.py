@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import aka
-from .channel import SimChannel, auth_channel_elapsed
+from .channel import SimChannel, auth_channel_draws
 from .core import (
+    TIME_LIMIT_MS,
     TIME_QUANTUM_MS,
     ConfigError,
     EventClock,
@@ -226,15 +227,16 @@ def run_attaches(profile: "DeviceProfile", channel: SimChannel,
     Step latencies come from the device profile: one standard-normal
     matrix (attaches x steps), floored at 0.1 ms and put on the lattice.
     The authentication response additionally carries the SIM-channel
-    elapsed time (remote profiles derive it from the channel, once per
-    attach, instead of the profile entry), the algorithm's processing
-    cost and the over-the-air component.  Every attach runs the AKA
-    check on its own challenge; a failed check ends it at the
-    authentication request, an auth latency above the network timer at
-    the response.  A device runs one attach at a time: one that would
-    start at or before the previous one's last message starts one
-    lattice quantum after it instead.  Stochastic outcomes are encoded
-    in the result, never raised.
+    elapsed time (remote profiles draw it from the channel, one row per
+    attach that passes AKA, instead of the profile entry), the
+    algorithm's processing cost and the over-the-air component.  Every
+    attach runs the AKA check on its own challenge, all of them as one
+    block; a failed check ends it at the authentication request, an auth
+    latency above the network timer at the response.  A device runs one
+    attach at a time: one that would start at or before the previous
+    one's last message starts one lattice quantum after it instead.
+    Stochastic outcomes are encoded in the result, never raised; a
+    timestamp at or past TIME_LIMIT_MS is a ConfigError.
     """
     if profile.channel_kind != channel.kind:
         raise ConfigError(
@@ -255,24 +257,14 @@ def run_attaches(profile: "DeviceProfile", channel: SimChannel,
     over_air = (0.0 if network.transmission is None
                 else network.transmission.draw(gen, n))
 
-    rands = gen.bytes(aka.KEY_LEN * n)
-    k_net, k_sim = profile.subscriber_key, profile.sim_side_key()
-    passed = np.empty(n, dtype=bool)
-    for i in range(n):
-        challenge = aka.challenge_for(
-            k_net, rands[aka.KEY_LEN * i:aka.KEY_LEN * (i + 1)], alg)
-        answer = aka.compute_response(k_sim, challenge.rand, challenge.autn,
-                                      alg)
-        passed[i] = not isinstance(answer, aka.AuthFailure) and aka.verify(
-            challenge.xres, answer.res)
+    passed = aka.authenticate(profile.subscriber_key, profile.sim_side_key(),
+                              gen.bytes(aka.KEY_LEN * n), alg)
 
     transfer = np.full(n, np.nan)
     processing = np.full(n, np.nan)
     if channel.is_remote:
-        for i in np.flatnonzero(passed).tolist():
-            breakdown = auth_channel_elapsed(channel, rng)
-            transfer[i] = breakdown.transfer_total_ms
-            processing[i] = breakdown.processing_total_ms
+        transfer[passed], processing[passed] = auth_channel_draws(
+            channel, gen, int(np.count_nonzero(passed)))
         raw[passed, auth] = transfer[passed] + processing[passed]
     raw[:, auth] += cost
     raw[:, auth] += over_air
@@ -292,6 +284,10 @@ def run_attaches(profile: "DeviceProfile", channel: SimChannel,
         if begin[i] <= last:
             begin[i] = last + TIME_QUANTUM_MS
         last = begin[i] + span
+    if not last < TIME_LIMIT_MS:  # begins increase, so `last` is the latest
+        raise ConfigError(
+            f"{_device_id(profile)}: a message at {last} ms reaches the "
+            f"{TIME_LIMIT_MS:.0f} ms timestamp limit")
     return DeviceAttaches(_device_id(profile), profile.name, steps,
                           np.asarray(begin)[:, None] + offsets, counts,
                           outcomes, transfer, processing)

@@ -24,6 +24,10 @@ from . import monitor
 from .aka import SubscriberKey, algorithm_named
 from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
 from .core import (
+    DECIMALS,
+    SHORT_DECIMALS,
+    SHORT_TICKS,
+    TIME_LIMIT_MS,
     ConfigError,
     EmptyWindow,
     ParseError,
@@ -96,6 +100,19 @@ class ScenarioConfig:
             raise ConfigError("attaches_per_device must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        # the scalars run_scenario builds its parts from, checked by them
+        RadioEnvironment(self.rsrp_dbm)
+        NetworkConfig(auth_timer_ms=self.auth_timer_ms)
+        ReauthPolicy(self.attaches_per_device, self.min_spacing_ms)
+        if not self.day_span_ms < TIME_LIMIT_MS:
+            raise ConfigError(f"day_span_ms must be below "
+                              f"{TIME_LIMIT_MS:.0f}, the timestamp limit")
+        if not (self.attaches_per_device - 1) * self.min_spacing_ms \
+                < self.day_span_ms:
+            raise ConfigError(
+                f"cannot place {self.attaches_per_device} attaches "
+                f"{self.min_spacing_ms} ms apart in a {self.day_span_ms} ms "
+                f"day_span_ms")
 
 
 _PROFILE_SCHEMA = {"name": str, "steps": dict, "optional_steps": list,
@@ -289,8 +306,9 @@ _LOG_CHUNK = 4096  # lines per write
 
 def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
     """Every message, sorted by (time, device_id, step), written a chunk of
-    lines at a time.  Each line is its `fmt_ms` time plus a precomputed
-    tail per (device, step), as SignalingMessage.to_json_line writes it."""
+    lines at a time.  Each line is its time, rendered from its lattice
+    ticks as `fmt_ms` would, plus a precomputed tail per (device, step),
+    as SignalingMessage.to_json_line writes it."""
     width = len(AttachStep)
     tails = [""] * (width * len(devices))  # by device rank * width + step
     times, keys = [], []
@@ -308,40 +326,56 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
     time = np.concatenate(times)
     key = np.concatenate(keys)
     order = np.lexsort((key, time))
+    decimals = DECIMALS
     with path.open("w") as f:
         for lo in range(0, order.size, _LOG_CHUNK):
             chunk = order[lo:lo + _LOG_CHUNK]
-            f.write("".join([f'{{"time": {t:.10f}{tails[j]}' for t, j in zip(
-                time[chunk].tolist(), key[chunk].tolist())]))
+            # exact ticks: every time is below TIME_LIMIT_MS
+            ticks = (time[chunk] * 1024.0).astype(np.int64)
+            f.write("".join([
+                f'{{"time": {whole}{decimals[part]}{tails[j]}'
+                for whole, part, j in zip((ticks >> 10).tolist(),
+                                          (ticks & 1023).tolist(),
+                                          key[chunk].tolist())]))
 
 
 def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
     """One JSON row per attach, devices sorted by id, as json.dumps writes
-    it: floats by repr, a missing value as null."""
+    it: floats by repr, a missing value as null.  Step latencies below
+    2**19 ms are rendered from their lattice ticks (see SHORT_TICKS)."""
     def number(value: float) -> str:
         return "null" if math.isnan(value) else repr(value)
 
+    outcomes = [f'"outcome": "{o.value}", "start_ms": ' for o in OUTCOMES]
+    short = SHORT_DECIMALS
     with path.open("w") as f:
         for dev in sorted(devices, key=lambda d: d.device_id):
             head = f'{{"device_id": {json.dumps(dev.device_id)}, "attach_seq": '
-            keys = [f'"{step.name}": ' for step in dev.steps]
+            opening = f', "steps": {{"{dev.steps[0].name}": 0.0'
+            keys = [f', "{step.name}": ' for step in dev.steps[1:]]
+            gaps = np.diff(dev.times, axis=1)
+            ticks = (gaps * 1024.0).astype(np.int64)
+            if ticks.size and ticks.max() >= SHORT_TICKS:
+                cells = [[key + repr(gap) for key, gap in zip(keys, row)]
+                         for row in gaps.tolist()]
+            else:
+                cells = [[f"{key}{whole}{short[part]}" for key, whole, part
+                          in zip(keys, wholes, parts)]
+                         for wholes, parts in zip((ticks >> 10).tolist(),
+                                                  (ticks & 1023).tolist())]
             rows = []
-            for seq, (times, gaps, count, code, transfer, processing) in \
-                    enumerate(zip(dev.times.tolist(),
-                                  np.diff(dev.times, axis=1).tolist(),
+            for seq, (times, row, count, code, transfer, processing) in \
+                    enumerate(zip(dev.times.tolist(), cells,
                                   dev.counts.tolist(), dev.outcomes.tolist(),
                                   dev.transfer_ms.tolist(),
                                   dev.processing_ms.tolist())):
                 if count:
-                    steps = ", ".join([keys[0] + "0.0"] + [
-                        key + repr(gap)
-                        for key, gap in zip(keys[1:count], gaps)])
-                    span = f'{times[0]!r}, "end_ms": {times[count - 1]!r}'
+                    span = (f'{times[0]!r}, "end_ms": {times[count - 1]!r}'
+                            f'{opening}{"".join(row[:count - 1])}}}')
                 else:
-                    steps, span = "", 'null, "end_ms": null'
+                    span = 'null, "end_ms": null, "steps": {}'
                 rows.append(
-                    f'{head}{seq}, "outcome": "{OUTCOMES[code].value}", '
-                    f'"start_ms": {span}, "steps": {{{steps}}}, '
+                    f'{head}{seq}, {outcomes[code]}{span}, '
                     f'"auth_transfer_ms": {number(transfer)}, '
                     f'"auth_processing_ms": {number(processing)}}}\n')
             f.write("".join(rows))

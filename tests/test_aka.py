@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,15 +10,19 @@ from attachsim.aka import (
     KEY_LEN,
     RES_LEN,
     XOR_TEST,
+    AuthAlgorithm,
     AuthFailure,
     AuthResponse,
     SubscriberKey,
     algorithm_named,
+    authenticate,
+    challenge_for,
     compute_response,
     generate_challenge,
     verify,
     xor_test,
 )
+from attachsim.fleet import builtin_profiles
 
 KEY = SubscriberKey(bytes(range(16)))
 
@@ -140,3 +147,62 @@ def test_property_compute_response_is_pure(raw):
     first = compute_response(key, ch.rand, ch.autn)
     second = compute_response(key, ch.rand, ch.autn)
     assert first == second
+
+
+def _chain(k_net, k_sim, rands, alg=XOR_TEST):
+    """Per rand: challenge_for, compute_response, then verify."""
+    out = []
+    for i in range(0, len(rands), KEY_LEN):
+        ch = challenge_for(k_net, rands[i:i + KEY_LEN], alg)
+        answer = compute_response(k_sim, ch.rand, ch.autn, alg)
+        out.append(isinstance(answer, AuthResponse)
+                   and verify(ch.xres, answer.res))
+    return out
+
+
+@pytest.mark.parametrize("wrong_key", [False, True])
+def test_block_matches_per_attach_chain(wrong_key):
+    for seed, profile in enumerate(builtin_profiles().values()):
+        profile = replace(profile, auth_misconfigured=wrong_key)
+        rands = RngStream(seed).bytes(KEY_LEN * 40)
+        k_net, k_sim = profile.subscriber_key, profile.sim_side_key()
+        passed = authenticate(k_net, k_sim, rands, profile.auth_alg)
+        assert passed.dtype == bool and passed.shape == (40,)
+        assert passed.tolist() == _chain(k_net, k_sim, rands) \
+            == [not wrong_key] * 40
+
+
+def test_block_checks_token_and_response():
+    # a token that ignores the key: a wrong key passes the token check,
+    # so only the response comparison can reject it
+    def keyless_token(k, rands):
+        return (rands ^ k)[:, :RES_LEN], rands.copy()
+
+    alg = AuthAlgorithm("KeylessToken", keyless_token)
+    rands = RngStream(4).bytes(KEY_LEN * 8)
+    other = SubscriberKey(bytes(range(1, 17)))
+    assert authenticate(KEY, KEY, rands, alg).all()
+    assert not authenticate(KEY, other, rands, alg).any()
+    assert _chain(KEY, other, rands, alg) == [False] * 8
+    # and a token that does depend on the key rejects it too
+    assert not authenticate(KEY, other, rands).any()
+
+
+def test_block_is_the_bytes_api():
+    rands = RngStream(9).bytes(KEY_LEN * 5)
+    block = np.frombuffer(rands, np.uint8).reshape(5, KEY_LEN)
+    res, autn = XOR_TEST.block(KEY, block)
+    for i in range(5):
+        rand = rands[KEY_LEN * i:KEY_LEN * (i + 1)]
+        assert (res[i].tobytes(), autn[i].tobytes()) == xor_test(KEY.k, rand)
+    assert authenticate(KEY, KEY, b"").shape == (0,)
+
+
+def test_block_shape_is_checked():
+    alg = AuthAlgorithm("Short", lambda k, rands: (rands[:, :4], rands))
+    with pytest.raises(ConfigError):
+        alg.block(KEY, np.zeros((3, KEY_LEN), np.uint8))
+    with pytest.raises(ConfigError):
+        challenge_for(KEY, bytes(KEY_LEN), alg)
+    with pytest.raises(ConfigError):
+        xor_test(KEY.k, bytes(KEY_LEN + 1))

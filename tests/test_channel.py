@@ -246,6 +246,48 @@ def test_calibrated_mean_is_exact_and_sampled():
     assert abs(draws.mean() - target) < 3 * se
 
 
+_BATCH_CHANNELS = (
+    remote_tcp(),
+    remote_udp(loss_prob=0.05),
+    remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5), loss_prob=0.3,
+               online=OnlinePenalty(enabled=True, mean_ms=100.0, std_ms=80.0)),
+    remote_tcp(rtt=RttDistribution.empirical([10.0, 20.0, 40.0])),
+    coupled_serial(),
+)
+
+
+def test_auth_channel_elapsed_is_one_row_batch():
+    for channel in _BATCH_CHANNELS:
+        for seed in range(5):
+            bd = auth_channel_elapsed(channel, RngStream(seed))
+            transfer, processing = chan_mod.auth_channel_draws(
+                channel, RngStream(seed).gen, 1)
+            assert (bd.transfer_total_ms, bd.processing_total_ms) == \
+                (transfer[0], processing[0])
+        transfer, processing = chan_mod.auth_channel_draws(
+            channel, RngStream(0).gen, 0)
+        assert transfer.shape == processing.shape == (0,)
+
+
+@pytest.mark.parametrize("channel, target", [
+    (remote_tcp(), 2122.7),
+    (remote_udp(loss_prob=0.05), 1640.2),
+    (remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5),
+                online=OnlinePenalty(enabled=True, mean_ms=100.0,
+                                     std_ms=80.0)), 2500.0),
+], ids=["tcp", "udp_loss_0.05", "lognormal_online"])
+def test_batch_mean_is_calibrated_mean(channel, target):
+    tuned = calibrate_processing(channel, target)
+    transfer, processing = chan_mod.auth_channel_draws(
+        tuned, RngStream(21).gen, 40_000)
+    draws = transfer + processing
+    se = draws.std(ddof=1) / np.sqrt(draws.size)
+    assert abs(draws.mean() - _exact_mean(tuned)) < 3 * se
+    assert transfer.min() >= min_transfer_floor(tuned)
+    assert processing.min() >= len(tuned.processing_phases) \
+        * chan_mod.PROCESSING_FLOOR_MS
+
+
 def test_expected_backoff_matches_series():
     for b, cap in ((2.0, 8.0), (1.0, 8.0), (1.0, 1.0), (3.0, 1.0),
                    (1.5, 100.0), (2.0, 5.0)):

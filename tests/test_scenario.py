@@ -26,6 +26,7 @@ from attachsim import (
     run_scenario,
 )
 from attachsim.cli import main
+from attachsim.core import DECIMALS, SHORT_DECIMALS, SHORT_TICKS, fmt_ms
 from attachsim.fleet import builtin_profiles
 from attachsim.monitor import compute_step_latencies
 from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
@@ -464,6 +465,15 @@ _BAD_CONFIGS = {
     "critical_string": _with(("detect", "critical"), "inf"),
     "critical_nan": _with(("detect", "critical"), math.nan),
     "critical_bool": _with(("detect", "critical"), True),
+    # scalars that only run_scenario used to check, after making the
+    # output directory
+    "rsrp_zero": _with(("rsrp_dbm",), 0),
+    "auth_timer_negative": _with(("auth_timer_ms",), -1),
+    "spacing_negative": _with(("min_spacing_ms",), -1),
+    "day_span_negative": _with(("day_span_ms",), -5),
+    "spacing_exceeds_day": _with(("day_span_ms",), 490_000.0),
+    # timestamps past 2**43 ms would leave the exact 1/1024 ms lattice
+    "day_span_huge": _with(("day_span_ms",), 1e16),
 }
 _BAD_POLICIES = {
     "policy_critical_string": {"critical": "inf"},
@@ -487,6 +497,24 @@ def test_cli_rejects_bad_values_without_traceback(tmp_path, capsys, case):
                 "--policy", str(path), "--report", str(tmp_path / "r.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_day_span_limit_is_checked_at_parse_time():
+    with pytest.raises(ConfigError, match="timestamp limit"):
+        _config(day_span_ms=2.0 ** 43)
+    assert _config(day_span_ms=2.0 ** 43 - 1).day_span_ms == 2.0 ** 43 - 1
+    assert _config(attaches_per_device=2, min_spacing_ms=9.0,
+                   day_span_ms=10.0).day_span_ms == 10.0
+
+
+def test_timestamps_past_limit_are_an_error(tmp_path):
+    # an inline step mean of 1e13 ms pushes messages past 2**43 ms
+    huge = dict(_INLINE, steps=dict(_INLINE["steps"],
+                                    AttachAccept=[1e13, 0.0]))
+    cfg = parse_config(dict(MINIMAL, fleet=[{"profile": huge, "count": 1}]))
+    with pytest.raises(ConfigError, match="timestamp limit"):
+        run_scenario(cfg, tmp_path / "out")
 
 
 def test_cli_detect_degenerate_input_is_an_error(tmp_path, capsys):
@@ -800,3 +828,32 @@ def test_property_logs_round_trip_to_records(cfg):
     assert sorted(parsed) == sorted(expected)
     for device_id, recs in expected.items():
         assert shape(parsed[device_id]) == shape(recs), device_id
+
+
+@given(st.integers(0, 2 ** 53 - 1), st.integers(0, SHORT_TICKS - 1))
+def test_property_lattice_formatters(k, short):
+    # the tick tables the log and records writers render times with
+    assert f"{k >> 10}{DECIMALS[k & 1023]}" == f"{k / 1024:.10f}" \
+        == fmt_ms(k / 1024)
+    assert f"{short >> 10}{SHORT_DECIMALS[short & 1023]}" \
+        == repr(short / 1024) == json.dumps(short / 1024)
+
+
+def test_records_writer_keeps_repr_for_long_steps(tmp_path):
+    # step latencies of 2**19 ms and more take repr, not the tick table
+    slow = dict(_INLINE, name="Slow", steps=dict(
+        _INLINE["steps"], AttachAccept=[1e7, 1e6]))
+    raw = dict(MINIMAL, attaches_per_device=4, day_span_ms=1e8,
+               fleet=[{"profile": slow, "count": 2},
+                      {"profile": "FairPhone5G", "count": 1}])
+    art = run_scenario(parse_config(raw), tmp_path / "out")
+    gaps = [rec.messages[-2].time - rec.messages[-3].time
+            for recs in art.records.values() for rec in recs
+            if rec.device_id.startswith("Slow")]
+    # repr drops digits of some of these, so the exact decimal would differ
+    assert any(repr(g) != fmt_ms(g).rstrip("0") for g in gaps)
+    logs, records, summary = _reference_artifacts(
+        art.records, ["Slow", "FairPhone5G"])
+    assert art.logs_path.read_text() == logs
+    assert art.records_path.read_text() == records
+    assert art.summary_path.read_text() == summary
