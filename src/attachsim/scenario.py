@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -260,8 +260,6 @@ def _base_profiles(fleet: tuple[FleetEntry, ...]) -> list[DeviceProfile]:
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
     """Simulate the configured fleet and write logs, records, and summary."""
     profiles = _base_profiles(config.fleet)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     env = RadioEnvironment(config.rsrp_dbm)
     network = NetworkConfig(auth_timer_ms=config.auth_timer_ms,
                             transmission=config.transmission)
@@ -290,6 +288,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
                 run_attaches(profile, channels[name], network, schedule, rng)
                 if camps else DeviceAttaches.refused(profile, len(schedule)))
 
+    out = Path(out_dir)  # made only once every device has run
+    out.mkdir(parents=True, exist_ok=True)
     logs_path = out / "logs.jsonl"
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
@@ -427,21 +427,27 @@ _LOG_KEYS = {"time", "layer", "direction", "device_id", "message"}
 # JSON integers decode as floats, so an over-long integer time becomes inf
 # and is rejected below instead of overflowing a later float conversion.
 _LOG_DECODER = json.JSONDecoder(parse_int=float)
-# The exact line shape SignalingMessage.to_json_line writes: a plain JSON
-# number of ASCII digits as time and a device_id without escapes, control
-# characters or undecodable bytes (lone surrogates, see _attaches).  Any
-# other line, valid or not, takes the json branch of _read_line.
+# A time as the writer prints it: a plain JSON number of ASCII digits.
+_TIME_TEXT = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?"
+# The exact line shape SignalingMessage.to_json_line writes: a _TIME_TEXT
+# time and a device_id without escapes, control characters or undecodable
+# bytes (lone surrogates, see _LogReader.block).  _LogReader checks each
+# distinct tail of such a line once against it; any other line, valid or
+# not, takes the json branch of _read_line.
 _WRITER_LINE = re.compile(
-    r'\{"time": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?), "layer": "NAS", '
+    r'\{"time": (' + _TIME_TEXT + r'), "layer": "NAS", '
     r'"direction": "([A-Za-z]+)", '
     r'"device_id": "([^"\\\x00-\x1f\ud800-\udfff]*)", '
     r'"message": "([A-Za-z]+)"\}$')
+_WRITER_HEAD = re.compile(rb'\{"time": (' + _TIME_TEXT.encode() + rb')')
 _STEP_DIRECTIONS = {step.name: (step, step.direction) for step in AttachStep}
 _UNDECODED = re.compile(r"[\ud800-\udfff]")
 # the outcome of a record, from the step it ends at
 _OUTCOME_AFTER = {AttachStep.AttachComplete: Outcome.Completed,
                   AttachStep.AuthenticationResponse: Outcome.AuthTimeout,
                   AttachStep.AuthenticationRequest: Outcome.AuthReject}
+_ENDS_RECORD = np.array([step in _OUTCOME_AFTER for step in AttachStep])
+_NEVER = np.iinfo(np.int64).max  # first_close of a device whose records are open
 
 
 def _read_line(line: str, lineno: int) -> tuple[float, str, AttachStep]:
@@ -478,61 +484,282 @@ def _read_line(line: str, lineno: int) -> tuple[float, str, AttachStep]:
     return time, device_id, step
 
 
-def _attaches(path: str | Path
-              ) -> Iterator[tuple[str, list[AttachStep], list[float], Outcome]]:
-    """Each attach record of a JSONL signaling log, read in one pass by
-    the rules of parse_logs.
+# Bytes read at a time.  The reader's memory scales with it: 256 KiB keeps
+# detect's peak within 2 MB of a line-at-a-time reader.
+_BLOCK_BYTES = 1 << 18
+# A writer line is split at its first _SEP into a head, '{"time": ' and the
+# time, and a tail, looked up as _MARK + the rest of the line.
+_SEP = b', "layer": '
+_MARK = b"\x00"
 
-    Yields (device_id, steps, times, outcome) when a record closes: when
-    the device's next record starts, or at the end of the log, devices in
-    sorted order.
+
+def _head_layouts() -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per head length, (low, span, weights) of '{"time": ' and a time with
+    1 to 13 integer digits, a dot and ten fraction digits: byte j of a head
+    fits when byte - low[j] <= span[j] as uint8, and (bytes - 48) @ weights
+    is (integer part, fraction digits read as an integer)."""
+    layouts = {}
+    for length in range(21, 34):
+        dot = length - 11
+        low = np.frombuffer(b'{"time": ' + b"0" * (length - 9), np.uint8).copy()
+        span = np.zeros(length, np.uint8)
+        span[9:] = 9
+        low[dot], span[dot] = ord("."), 0
+        if dot > 10:  # no leading zero
+            low[9], span[9] = ord("1"), 8
+        weights = np.zeros((length, 2))
+        weights[9:dot, 0] = 10.0 ** np.arange(dot - 10, -1, -1)
+        weights[dot + 1:, 1] = 10.0 ** np.arange(9, -1, -1)
+        layouts[length] = low, span, weights
+    return layouts
+
+
+_HEAD_LAYOUTS = _head_layouts()
+
+
+def _head_times(heads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, time) of line heads, each meant to be '{"time": ' and a time.
+
+    ok where the time is f"{t:.10f}" of a time t on the 2**-10 ms lattice:
+    1 to 13 integer digits, no leading zero unless the integer part is 0,
+    a dot and ten fraction digits whose value is j/1024.  Such a time is
+    i + j/1024, both exact doubles, so their one rounded sum is
+    float(text).  Every other head is not ok, whatever it holds.
     """
-    # device -> [steps, times, line of the last message] of its open record
-    open_records: dict[str, list] = {}
+    n = len(heads)
+    lengths = np.fromiter(map(len, heads), np.int64, n)
+    rows = np.array(heads, dtype="S33").view(np.uint8).reshape(n, 33)
+    ok, time = np.zeros(n, bool), np.zeros(n)
+    counts = np.bincount(np.minimum(lengths, 34), minlength=35)
+    for length in np.flatnonzero(counts[21:34]).tolist():
+        length += 21
+        low, span, weights = _HEAD_LAYOUTS[length]
+        group = np.flatnonzero(lengths == length)
+        head = rows[group, :length]
+        integer, fraction = ((head - 48) @ weights).T
+        ticks, rest = np.divmod(fraction, 9765625.0)
+        ok[group] = ((head - low) <= span).all(1) & (rest == 0.0)
+        time[group] = integer + ticks / 1024.0
+    return ok, time
 
-    def closed(device_id: str, record: list):
-        steps, times, last_line = record
-        if steps[-1] not in _OUTCOME_AFTER:
-            raise ParseError(f"record for {device_id} truncated at "
-                             f"{steps[-1].name}", last_line)
-        return device_id, steps, times, _OUTCOME_AFTER[steps[-1]]
 
-    match = _WRITER_LINE.match
-    directions = _STEP_DIRECTIONS.get
-    first = AttachStep.AttachRequest
-    # Undecodable bytes become lone surrogates, which only _read_line takes.
-    with Path(path).open(encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            fast = match(line)
-            if fast:
-                time_text, direction, device_id, message = fast.groups()
-                step, expected = directions(message, (None, None))
-                time = float(time_text)
-                if direction != expected or not time < math.inf:
-                    time, device_id, step = _read_line(line, lineno)
-            else:
-                time, device_id, step = _read_line(line, lineno)
+class _LogReader:
+    """The rules of parse_logs over a log fed to `block` a run of whole
+    lines at a time, keeping the lines of the steps in `keep`.
 
-            record = open_records.get(device_id)
-            if record is not None and step <= record[0][-1]:
-                del open_records[device_id]
-                yield closed(device_id, record)
-                record = None
-            if record is None:
-                if step != first:
-                    raise ParseError(
-                        f"record for {device_id} starts at {step.name}", lineno)
-                open_records[device_id] = [[step], [time], lineno]
-                continue
-            times = record[1]
-            if time < times[-1]:
-                raise ParseError(f"time went backwards for {device_id}", lineno)
-            record[0].append(step)
-            times.append(time)
-            record[2] = lineno
+    Per block, a line in writer shape costs one dict lookup of its tail;
+    the times of such lines are converted together (_head_times), every
+    other line goes through _read_line, and the record rules are checked
+    as masks over each line and the previous line of its device.  Across
+    blocks only per-device state is carried: the step, time and line
+    number of its last line, and the line its first record closed at.
+    """
 
-    for device_id in sorted(open_records):
-        yield closed(device_id, open_records[device_id])
+    def __init__(self, keep):
+        self.keep = np.isin(np.arange(len(AttachStep)), list(keep))
+        self.ids: list[str] = []             # by device number
+        self.numbers: dict[str, int] = {}
+        self.tails: dict[bytes, int] = {}    # tail -> 16 * device + step
+        self.last_step = np.full(0, -1)      # -1 before the device's first line
+        self.last_time = np.zeros(0)
+        self.last_line = np.zeros(0, np.int64)
+        self.first_close = np.zeros(0, np.int64)
+        self.lines = 0
+        # (device, step, time, gap) of the kept lines, a block at a time
+        self.kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                      np.zeros(0), np.zeros(0))]
+
+    def _device(self, device_id: str) -> int:
+        number = self.numbers.setdefault(device_id, len(self.ids))
+        if number == len(self.ids):
+            self.ids.append(device_id)
+        return number
+
+    def _learn(self, key: bytes | None) -> int:
+        """The code of a tail key not in `tails`, checked by _WRITER_LINE
+        and the step/direction rule; -1 where it is not a writer tail."""
+        if key is None or not key.startswith(_MARK):
+            return -1
+        fast = _WRITER_LINE.match('{"time": 0, "layer": '
+                                  + key[1:].decode("utf-8", "surrogateescape"))
+        if not fast:
+            return -1
+        _, direction, device_id, message = fast.groups()
+        step, expected = _STEP_DIRECTIONS.get(message, (None, None))
+        if direction != expected:
+            return -1
+        self.tails[key] = code = 16 * self._device(device_id) + step
+        return code
+
+    def _codes(self, keys: list) -> np.ndarray:
+        """16 * device + step of each tail key; -1 where it is not a writer
+        tail.  Each tail not in `tails` is checked once a block."""
+        codes = np.fromiter(map(self.tails.get, keys, repeat(-1)), np.int64,
+                            len(keys))
+        learnt: dict[bytes | None, int] = {}
+        for i in np.flatnonzero(codes < 0).tolist():
+            key = keys[i]
+            if key not in learnt:
+                learnt[key] = self._learn(key)
+            codes[i] = learnt[key]
+        return codes
+
+    def block(self, body: bytes) -> None:
+        """Read `body`, whole lines each ended by a line feed."""
+        split = _MARK not in body
+        if split:  # split at _SEP and at line ends in one pass
+            pieces = body.replace(_SEP, b"\n" + _MARK).split(b"\n")
+            heads, keys = pieces[:-1:2], pieces[1::2]
+            codes = self._codes(keys)
+            ok, time = _head_times(heads)
+            # the pieces pair up as (head, tail) a line exactly when every
+            # tail is a writer tail and no head starts with _MARK
+            split = codes.min() >= 0 and not any(
+                heads[i].startswith(_MARK) for i in np.flatnonzero(~ok).tolist())
+        if not split:
+            heads, keys = [], []
+            for line in body.split(b"\n")[:-1]:
+                head, sep, rest = line.partition(_SEP)
+                heads.append(head)
+                keys.append(_MARK + rest if sep else None)
+            codes = self._codes(keys)
+            ok, time = _head_times(heads)
+
+        n = len(heads)
+        device, step = codes >> 4, codes & 15
+        for i in np.flatnonzero(~ok & (codes >= 0)).tolist():
+            head = _WRITER_HEAD.fullmatch(heads[i])
+            if head:
+                time[i] = float(head[1])
+                ok[i] = time[i] < math.inf
+        error = None
+        for i in np.flatnonzero(~ok | (codes < 0)).tolist():
+            line = heads[i] if keys[i] is None else heads[i] + _SEP + keys[i][1:]
+            try:
+                time[i], device_id, step[i] = _read_line(
+                    line.decode("utf-8", "surrogateescape"), self.lines + i + 1)
+            except ParseError as exc:
+                error, n = exc, i
+                break
+            device[i] = self._device(device_id)
+        self._check(device[:n], step[:n], time[:n])
+        if error is not None:
+            raise error
+        self.lines += n
+
+    def _check(self, device: np.ndarray, step: np.ndarray,
+               time: np.ndarray) -> None:
+        """Check the record rules on the next lines of the log, then carry
+        each device's state past them and keep the lines asked for."""
+        n = device.size
+        if not n:
+            return
+        grow = len(self.ids) - self.last_step.size
+        if grow > 0:
+            self.last_step = np.append(self.last_step, np.full(grow, -1))
+            self.last_time = np.append(self.last_time, np.zeros(grow))
+            self.last_line = np.append(self.last_line, np.zeros(grow, np.int64))
+            self.first_close = np.append(self.first_close,
+                                         np.full(grow, _NEVER))
+        lineno = np.arange(self.lines + 1, self.lines + n + 1)
+        order = np.argsort(device, kind="stable")
+        same = device[order[1:]] == device[order[:-1]]
+        before = np.full(n, -1)
+        before[order[1:][same]] = order[:-1][same]
+        inner = before >= 0
+        prev_step = np.where(inner, step[before], self.last_step[device])
+        prev_time = np.where(inner, time[before], self.last_time[device])
+        prev_line = np.where(inner, lineno[before], self.last_line[device])
+
+        closes = step <= prev_step
+        opens = closes | (prev_step < 0)
+        truncated = closes & ~_ENDS_RECORD[prev_step]
+        bad = truncated | (opens & (step != 0)) | (~opens & (time < prev_time))
+        if bad.any():
+            i = int(bad.argmax())
+            device_id = self.ids[device[i]]
+            if truncated[i]:
+                raise ParseError(
+                    f"record for {device_id} truncated at "
+                    f"{AttachStep(int(prev_step[i])).name}", int(prev_line[i]))
+            if opens[i]:
+                raise ParseError(f"record for {device_id} starts at "
+                                 f"{AttachStep(int(step[i])).name}", int(lineno[i]))
+            raise ParseError(f"time went backwards for {device_id}",
+                             int(lineno[i]))
+
+        closing = np.flatnonzero(closes)
+        closing = closing[self.first_close[device[closing]] == _NEVER]
+        if closing.size:
+            numbers, first = np.unique(device[closing], return_index=True)
+            self.first_close[numbers] = lineno[closing[first]]
+        final = order[np.append(~same, True)]
+        self.last_step[device[final]] = step[final]
+        self.last_time[device[final]] = time[final]
+        self.last_line[device[final]] = lineno[final]
+        kept = self.keep[step]
+        self.kept.append((device[kept], step[kept], time[kept],
+                          np.where(opens, math.nan, time - prev_time)[kept]))
+
+    def finish(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+        """(ids, device, step, time, gap) of the kept lines in log order.
+
+        ids are in parse_logs order: by the line their first record closes
+        at, then the devices whose first record closes at the end of the
+        log, by id; `device` indexes them.  gap is the time since the
+        device's previous line, NaN where a record starts.
+        """
+        seen = sorted(np.flatnonzero(self.last_line > 0).tolist(),
+                      key=self.ids.__getitem__)
+        for number in seen:
+            if not _ENDS_RECORD[self.last_step[number]]:
+                raise ParseError(
+                    f"record for {self.ids[number]} truncated at "
+                    f"{AttachStep(int(self.last_step[number])).name}",
+                    int(self.last_line[number]))
+        seen.sort(key=self.first_close.__getitem__)
+        rank = np.zeros(len(self.ids), np.int64)
+        rank[seen] = np.arange(len(seen))
+        device, step, time, gap = map(np.concatenate, zip(*self.kept))
+        return [self.ids[number] for number in seen], rank[device], step, \
+            time, gap
+
+
+def _read_log(path: str | Path, keep) -> tuple[list[str], np.ndarray,
+                                               np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """_LogReader.finish of the log at `path`, keeping the steps in `keep`.
+
+    Lines end as in text mode: at a line feed, a carriage return or both,
+    and the last line needs no line end.
+    """
+    reader = _LogReader(keep)
+    pending = b""
+    with Path(path).open("rb") as f:
+        while True:
+            chunk = f.read(_BLOCK_BYTES)
+            data = pending + chunk
+            held = b"\r" if chunk and data.endswith(b"\r") else b""
+            if held:  # maybe the first half of a \r\n
+                data = data[:-1]
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if not chunk:
+                if data:
+                    reader.block(data if data.endswith(b"\n") else data + b"\n")
+                return reader.finish()
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                reader.block(data[:cut])
+            pending = data[cut:] + held
+
+
+def _by_device(ids: list[str], device: np.ndarray, *columns: np.ndarray):
+    """Per id, each column's values for it, in their order."""
+    order = np.argsort(device, kind="stable")
+    cuts = np.cumsum(np.bincount(device, minlength=len(ids)))[:-1]
+    return zip(ids, *(np.split(column[order], cuts) for column in columns))
 
 
 def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
@@ -543,13 +770,18 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
     every record must begin with the first step of the sequence.
     """
     done: dict[str, list[AttachRecord]] = {}
-    for device_id, steps, times, outcome in _attaches(path):
-        recs = done.setdefault(device_id, [])
-        recs.append(AttachRecord(
-            device_id=device_id, outcome=outcome, attach_seq=len(recs),
-            messages=[SignalingMessage(time=time, direction=step.direction,
-                                       device_id=device_id, message=step.name)
-                      for step, time in zip(steps, times)]))
+    for device_id, steps, times in _by_device(*_read_log(path, AttachStep)[:4]):
+        starts = np.flatnonzero(steps == 0)[1:]
+        done[device_id] = records = []
+        for seq, (codes, stamps) in enumerate(zip(np.split(steps, starts),
+                                                  np.split(times, starts))):
+            trace = [ATTACH_SEQUENCE[code] for code in codes.tolist()]
+            records.append(AttachRecord(
+                device_id=device_id, outcome=_OUTCOME_AFTER[trace[-1]],
+                attach_seq=seq, messages=[
+                    SignalingMessage(time=time, direction=step.direction,
+                                     device_id=device_id, message=step.name)
+                    for step, time in zip(trace, stamps.tolist())]))
     return done
 
 
@@ -557,16 +789,9 @@ def _step_latencies(path: str | Path, step: AttachStep
                     ) -> dict[str, list[float]]:
     """Per device, in parse_logs order, the latency of `step` in each record
     that has it: its time minus the time of the message before it."""
-    out: dict[str, list[float]] = {}
-    for device_id, steps, times, _ in _attaches(path):
-        values = out.setdefault(device_id, [])
-        try:
-            i = steps.index(step)
-        except ValueError:
-            continue
-        if i:
-            values.append(times[i] - times[i - 1])
-    return out
+    ids, device, _, _, gap = _read_log(path, (step,))
+    return {device_id: values[~np.isnan(values)].tolist()
+            for device_id, values in _by_device(ids, device, gap)}
 
 
 @dataclass(frozen=True)

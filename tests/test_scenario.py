@@ -512,9 +512,24 @@ def test_timestamps_past_limit_are_an_error(tmp_path):
     # an inline step mean of 1e13 ms pushes messages past 2**43 ms
     huge = dict(_INLINE, steps=dict(_INLINE["steps"],
                                     AttachAccept=[1e13, 0.0]))
-    cfg = parse_config(dict(MINIMAL, fleet=[{"profile": huge, "count": 1}]))
+    raw = dict(MINIMAL, fleet=[{"profile": huge, "count": 1}])
     with pytest.raises(ConfigError, match="timestamp limit"):
-        run_scenario(cfg, tmp_path / "out")
+        run_scenario(parse_config(raw), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_timestamp_limit_makes_no_output(tmp_path, capsys):
+    huge = dict(_INLINE, steps=dict(_INLINE["steps"],
+                                    AttachAccept=[1e13, 0.0]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, fleet=[{"profile": huge,
+                                                     "count": 1}])))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "timestamp limit" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_detect_degenerate_input_is_an_error(tmp_path, capsys):
