@@ -427,19 +427,16 @@ _LOG_KEYS = {"time", "layer", "direction", "device_id", "message"}
 # JSON integers decode as floats, so an over-long integer time becomes inf
 # and is rejected below instead of overflowing a later float conversion.
 _LOG_DECODER = json.JSONDecoder(parse_int=float)
-# A time as the writer prints it: a plain JSON number of ASCII digits.
-_TIME_TEXT = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?"
-# The exact line shape SignalingMessage.to_json_line writes: a _TIME_TEXT
-# time and a device_id without escapes, control characters or undecodable
-# bytes (lone surrogates, see _LogReader.block).  _LogReader checks each
-# distinct tail of such a line once against it; any other line, valid or
-# not, takes the json branch of _read_line.
+# The exact line shape SignalingMessage.to_json_line writes: a plain JSON
+# number of ASCII digits as time and a device_id without escapes, control
+# characters or undecodable bytes (lone surrogates, see _LogReader.block).
+# _LogReader checks each distinct tail of such a line once against it; any
+# other line, valid or not, takes the json branch of _read_line.
 _WRITER_LINE = re.compile(
-    r'\{"time": (' + _TIME_TEXT + r'), "layer": "NAS", '
+    r'\{"time": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?), "layer": "NAS", '
     r'"direction": "([A-Za-z]+)", '
     r'"device_id": "([^"\\\x00-\x1f\ud800-\udfff]*)", '
     r'"message": "([A-Za-z]+)"\}$')
-_WRITER_HEAD = re.compile(rb'\{"time": (' + _TIME_TEXT.encode() + rb')')
 _STEP_DIRECTIONS = {step.name: (step, step.direction) for step in AttachStep}
 _UNDECODED = re.compile(r"[\ud800-\udfff]")
 # the outcome of a record, from the step it ends at
@@ -547,12 +544,13 @@ class _LogReader:
     """The rules of parse_logs over a log fed to `block` a run of whole
     lines at a time, keeping the lines of the steps in `keep`.
 
-    Per block, a line in writer shape costs one dict lookup of its tail;
-    the times of such lines are converted together (_head_times), every
-    other line goes through _read_line, and the record rules are checked
-    as masks over each line and the previous line of its device.  Across
-    blocks only per-device state is carried: the step, time and line
-    number of its last line, and the line its first record closed at.
+    Per block, a line in writer shape costs one dict lookup of its tail,
+    and its time, in the lattice form simulate writes, is converted with
+    the others of the block (_head_times); every other line goes through
+    _read_line.  The record rules are checked as masks over each line
+    and the previous line of its device.  Across blocks only per-device
+    state is carried: the step, time and line number of its last line,
+    and the line its first record closed at.
     """
 
     def __init__(self, keep):
@@ -627,11 +625,6 @@ class _LogReader:
 
         n = len(heads)
         device, step = codes >> 4, codes & 15
-        for i in np.flatnonzero(~ok & (codes >= 0)).tolist():
-            head = _WRITER_HEAD.fullmatch(heads[i])
-            if head:
-                time[i] = float(head[1])
-                ok[i] = time[i] < math.inf
         error = None
         for i in np.flatnonzero(~ok | (codes < 0)).tolist():
             line = heads[i] if keys[i] is None else heads[i] + _SEP + keys[i][1:]
@@ -735,24 +728,27 @@ def _read_log(path: str | Path, keep) -> tuple[list[str], np.ndarray,
     and the last line needs no line end.
     """
     reader = _LogReader(keep)
-    pending = b""
+    pending: list[bytes] = []  # the log after its last line end, in pieces
+    held = b""
     with Path(path).open("rb") as f:
         while True:
             chunk = f.read(_BLOCK_BYTES)
-            data = pending + chunk
+            data = held + chunk
             held = b"\r" if chunk and data.endswith(b"\r") else b""
             if held:  # maybe the first half of a \r\n
                 data = data[:-1]
             if b"\r" in data:
                 data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if not chunk:
-                if data:
-                    reader.block(data if data.endswith(b"\n") else data + b"\n")
-                return reader.finish()
+            # only this chunk is searched, so a long line costs its length
             cut = data.rfind(b"\n") + 1
             if cut:
-                reader.block(data[:cut])
-            pending = data[cut:] + held
+                reader.block(b"".join(pending) + data[:cut])
+                pending = []
+            pending.append(data[cut:])
+            if not chunk:
+                if any(pending):
+                    reader.block(b"".join(pending) + b"\n")
+                return reader.finish()
 
 
 def _by_device(ids: list[str], device: np.ndarray, *columns: np.ndarray):

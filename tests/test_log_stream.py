@@ -464,6 +464,20 @@ def test_blank_line_and_bom_fail_as_before(sample_log, block):
         (f"line {len(lines) + 1}: blank line", len(lines) + 1)
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""])
+def test_long_line_fails_as_before(sample_log, ending):
+    """A log exported as one JSON array: a 4 MiB line read in 1 KiB blocks
+    fails at line 1 as before, with or without lines after it."""
+    lines, _, _ = sample_log
+    array = ("[" + ", ".join(lines * (4 * 2 ** 20 // len("".join(lines))))
+             + "]").encode()
+    keys = f"line 1: expected exactly keys {sorted(scenario._LOG_KEYS)}"
+    assert _reads_as_reference(array + ending, 1024) == (keys, 1)
+    after = _reads_as_reference(array + ending + _sample_bytes(lines), 1024)
+    assert after == ((keys, 1) if ending else
+                     ("line 1: invalid JSON (Extra data)", 1))
+
+
 _TIME_TEXTS = st.one_of(
     st.integers(0, 2 ** 53 - 1).map(lambda k: f"{k / 1024:.10f}"),
     st.from_regex(r"(?:0|[1-9][0-9]{0,20})(?:\.[0-9]{1,24})?", fullmatch=True),
