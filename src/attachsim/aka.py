@@ -3,10 +3,11 @@
 The default algorithm, XorTest, is deliberately simple: with X = k XOR rand
 bytewise, the response is the first eight bytes of X and the network token
 is X rotated left by one byte.  It is a latency and correctness stand-in,
-not a conformance target; production algorithms plug in through
-AuthAlgorithm with the same (k, rand) -> (res, autn) shape, written over a
-block of rands: (16,) and (n, 16) uint8 arrays in, (n, 8) and (n, 16)
-uint8 arrays out.  The bytes functions here are its one-row case.
+not a conformance target.  Another algorithm plugs in, with no registry,
+as DeviceProfile(auth_alg=AuthAlgorithm(...)) of the same (k, rand) ->
+(res, autn) shape over a block of rands: (16,) and (n, 16) uint8 arrays
+in, (n, 8) and (n, 16) uint8 arrays out.  The bytes functions here are
+its one-row case.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def xor_test(k: bytes, rand: bytes) -> tuple[bytes, bytes]:
 
 
 _REGISTRY: dict[str, AuthAlgorithm] = {"XorTest": XOR_TEST}
-
-
-def register_algorithm(alg: AuthAlgorithm) -> None:
-    """Install a named algorithm (Milenage, Tuak, ...) for config lookup."""
-    _REGISTRY[alg.name] = alg
 
 
 def algorithm_named(name: str, latency_mean_ms: float = 0.0,

@@ -96,9 +96,6 @@ class RttDistribution:
                 values.append(value)
         return cls.empirical(values, checksum=hashlib.sha256(raw).hexdigest())
 
-    def sample(self, rng: RngStream) -> float:
-        return float(self.draw(rng.gen, 1)[0])
-
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """`n` round trips in one generator call (none for a constant)."""
         if self.kind == "constant":
@@ -158,9 +155,6 @@ class OnlinePenalty:
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ConfigError("online penalty moments must be non-negative")
 
-    def sample(self, rng: RngStream) -> float:
-        return float(self.draw(rng.gen, 1)[0])
-
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """`n` penalties, clamped at 0, in one generator call (none when
         disabled)."""
@@ -185,7 +179,6 @@ class SimChannel:
     rtt: RttDistribution
     sessions_auth: int
     packets_per_session: int = 4
-    extra_attach_complete_packets: int = 0
     handshake_packets: int = 0          # TCP-like setup, counted once per attach
     ack_cost_ms: float = 0.0            # per-packet cost on reliable transports
     loss_prob: float = 0.0              # datagram transports only
@@ -218,10 +211,6 @@ class SimChannel:
     @property
     def is_remote(self) -> bool:
         return self.kind in (REMOTE_TCP, REMOTE_UDP)
-
-    @property
-    def auth_packet_count(self) -> int:
-        return self.sessions_auth * self.packets_per_session + self.handshake_packets
 
     @cached_property
     def _phase_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +260,6 @@ def remote_tcp(rtt: RttDistribution | None = None, sessions_auth: int = 15,
         rtt=rtt if rtt is not None else builtin_remote_rtt(),
         sessions_auth=sessions_auth,
         packets_per_session=packets_per_session,
-        extra_attach_complete_packets=4,
         handshake_packets=3,
         ack_cost_ms=ack_cost_ms,
         processing_phases=processing_phases,
@@ -300,7 +288,6 @@ def remote_udp(rtt: RttDistribution | None = None, sessions_auth: int = 9,
         rtt=rtt if rtt is not None else builtin_remote_rtt(),
         sessions_auth=sessions_auth,
         packets_per_session=packets_per_session,
-        extra_attach_complete_packets=2,
         loss_prob=loss_prob,
         retransmit_timeout_ms=retransmit_timeout_ms,
         processing_phases=processing_phases,
@@ -363,11 +350,6 @@ def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
         waits.append(waits[-1] + min(factor, channel.backoff_cap))
         factor *= channel.backoff_factor
     return np.array(waits)
-
-
-def transfer_session(channel: SimChannel, rng: RngStream) -> float:
-    """Elapsed time of one transfer session (see _transfer_ms)."""
-    return float(_transfer_ms(channel, rng.gen, 1, 1, handshake=False)[0])
 
 
 def auth_channel_draws(channel: SimChannel, gen: np.random.Generator, m: int

@@ -142,12 +142,6 @@ class RngStream:
     def normal(self, mean: float, std: float) -> float:
         return float(self._gen.normal(mean, std))
 
-    def uniform(self, low: float, high: float) -> float:
-        return float(self._gen.uniform(low, high))
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
     def bytes(self, n: int) -> bytes:
         return self._gen.bytes(n)
 

@@ -39,16 +39,6 @@ class RadioEnvironment:
         if not lo <= self.rsrp_dbm <= hi:
             raise ConfigError(f"rsrp {self.rsrp_dbm} dBm outside [{lo}, {hi}]")
 
-    @property
-    def label(self) -> str:
-        if self.rsrp_dbm >= -80.0:
-            return "Excellent"
-        if self.rsrp_dbm >= -95.0:
-            return "Medium"
-        if self.rsrp_dbm >= -110.0:
-            return "Poor"
-        return "CellEdge"
-
 
 @dataclass(frozen=True)
 class TransmissionModel:
@@ -123,10 +113,6 @@ class DeviceProfile:
     def enabled_steps(self) -> tuple[AttachStep, ...]:
         return tuple(s for s in ATTACH_SEQUENCE
                      if s not in OPTIONAL_STEPS or s in self.optional_steps)
-
-    @property
-    def is_remote(self) -> bool:
-        return self.channel_kind in (chan.REMOTE_TCP, chan.REMOTE_UDP)
 
     def sim_side_key(self) -> SubscriberKey:
         if not self.auth_misconfigured:

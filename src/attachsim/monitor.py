@@ -1,4 +1,4 @@
-"""Edge-side detector: per-step latency extraction, windowed statistics,
+"""Edge-side detector: per-step latency extraction, summary statistics,
 and the two-sample separation test behind the fraud verdicts.
 
 The test statistic is computed in two forms.  The operative form is the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -70,7 +70,6 @@ class LatencyStats:
 class TTestResult:
     se: float
     t: float          # double-normalized form (see module docstring)
-    critical: float
     t_ratio: float
     p_value: float
     t_welch: float    # standard Welch statistic
@@ -131,20 +130,6 @@ def compute_step_latencies(record: AttachRecord) -> list[LatencySample]:
     return samples
 
 
-def aggregate_auth_latency(samples: Iterable[LatencySample], device_id: str,
-                           window: tuple[float, float] | None = None,
-                           ) -> LatencyStats:
-    """Stats over a device's authentication-response latencies in a window."""
-    values = [
-        s.latency for s in samples
-        if s.device_id == device_id and s.step == AttachStep.AuthenticationResponse
-        and (window is None or window[0] <= s.wall_time < window[1])
-    ]
-    if not values:
-        raise EmptyWindow(f"no authentication samples for {device_id}")
-    return LatencyStats.from_samples(values)
-
-
 def welch_t(group_a: LatencyStats, group_b: LatencyStats,
             critical: float = 1.65) -> TTestResult:
     """Two-sample separation test on summary statistics.
@@ -163,15 +148,14 @@ def welch_t(group_a: LatencyStats, group_b: LatencyStats,
     if se == 0.0:
         if diff != 0.0:
             raise DegenerateInput("zero pooled error with differing means")
-        return TTestResult(se=0.0, t=0.0, critical=critical, t_ratio=0.0,
+        return TTestResult(se=0.0, t=0.0, t_ratio=0.0,
                            p_value=0.5, t_welch=0.0, df=float(na + nb - 2))
     t_welch_val = diff / se
     t_val = diff / math.sqrt(se * se * (1.0 / nb + 1.0 / na))
     df_num = (va / na + vb / nb) ** 2
     df_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
     df = df_num / df_den
-    return TTestResult(se=se, t=t_val, critical=critical,
-                       t_ratio=t_val / critical,
+    return TTestResult(se=se, t=t_val, t_ratio=t_val / critical,
                        p_value=float(stdtr(df, -t_welch_val)),
                        t_welch=t_welch_val, df=df)
 

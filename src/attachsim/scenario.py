@@ -607,6 +607,10 @@ class _LogReader:
         split = _MARK not in body
         if split:  # split at _SEP and at line ends in one pass
             pieces = body.replace(_SEP, b"\n" + _MARK).split(b"\n")
+            # no pairing without two pieces a line: skip their tail lookups
+            split = len(pieces) == 2 * np.count_nonzero(
+                np.frombuffer(body, np.uint8) == ord("\n")) + 1
+        if split:
             heads, keys = pieces[:-1:2], pieces[1::2]
             codes = self._codes(keys)
             ok, time = _head_times(heads)

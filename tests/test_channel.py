@@ -23,10 +23,9 @@ from attachsim import (
     min_transfer_floor,
     remote_tcp,
     remote_udp,
-    transfer_session,
 )
 from attachsim import channel as chan_mod
-from attachsim.channel import ProcessingPhase
+from attachsim.channel import ProcessingPhase, auth_channel_draws
 
 BUILTIN_RTT_SHA256 = (
     "67d279e343f2cf411400a2cab06beb9437945bdac3e107fbd8960ca11f91aea1")
@@ -37,17 +36,25 @@ def _mean(fn, n, seed=0):
     return sum(fn(rng) for _ in range(n)) / n
 
 
+def _sessions(channel, n, seed=0):
+    """`n` single transfer sessions: the authentication phases of a
+    one-session channel with no handshake and no processing."""
+    one = replace(channel, sessions_auth=1, handshake_packets=0,
+                  processing_phases=())
+    transfer, processing = auth_channel_draws(one, RngStream(seed).gen, n)
+    assert not processing.any()
+    return transfer.tolist()
+
+
 def test_rtt_constant():
     rtt = RttDistribution.constant(3.5)
-    rng = RngStream(0)
-    assert [rtt.sample(rng) for _ in range(5)] == [3.5] * 5
+    assert rtt.draw(RngStream(0).gen, 5).tolist() == [3.5] * 5
     assert rtt.median_ms == 3.5
 
 
 def test_rtt_lognormal_median():
     rtt = RttDistribution.lognormal(57.4)
-    rng = RngStream(1)
-    samples = sorted(rtt.sample(rng) for _ in range(4001))
+    samples = sorted(rtt.draw(RngStream(1).gen, 4001))
     assert rtt.median_ms == 57.4
     assert abs(samples[2000] / 57.4 - 1.0) < 0.05
     assert all(s > 0 for s in samples)
@@ -55,8 +62,7 @@ def test_rtt_lognormal_median():
 
 def test_rtt_empirical_draws_members():
     rtt = RttDistribution.empirical([10.0, 20.0, 40.0])
-    rng = RngStream(2)
-    seen = {rtt.sample(rng) for _ in range(200)}
+    seen = set(rtt.draw(RngStream(2).gen, 200).tolist())
     assert seen == {10.0, 20.0, 40.0}
     assert rtt.median_ms == 20.0
 
@@ -72,9 +78,7 @@ def test_builtin_rtt_fixture_frozen():
 
 
 def test_coupled_transfer_clamped_serial():
-    channel = coupled_serial()
-    rng = RngStream(3)
-    samples = [transfer_session(channel, rng) for _ in range(4000)]
+    samples = _sessions(coupled_serial(), 4000, seed=3)
     assert min(samples) >= 0.01
     # clamped N(0.12, 0.15) at 0.01: analytic mean 0.140248
     assert abs(statistics.mean(samples) / 0.140248 - 1.0) < 0.05
@@ -82,7 +86,7 @@ def test_coupled_transfer_clamped_serial():
 
 def test_tcp_session_is_two_rtts_plus_acks():
     channel = remote_tcp(rtt=RttDistribution.constant(2.2))
-    value = transfer_session(channel, RngStream(0))
+    [value] = _sessions(channel, 1)
     assert value == pytest.approx(2 * 2.2 + 4 * 0.075, rel=1e-12)
 
 
@@ -96,8 +100,7 @@ def test_tcp_auth_transfer_lan_oracle():
 
 def test_udp_session_lossless_is_exactly_two_rtts():
     channel = remote_udp(rtt=RttDistribution.constant(5.0), loss_prob=0.0)
-    rng = RngStream(0)
-    assert all(transfer_session(channel, rng) == 10.0 for _ in range(50))
+    assert _sessions(channel, 50) == [10.0] * 50
     bd = auth_channel_elapsed(channel, RngStream(0))
     assert bd.transfer_total_ms == 90.0
 
@@ -106,7 +109,7 @@ def test_udp_retransmission_cost_oracle():
     # loss 0.02, timeout 200, backoff x2 capped at 8: expected extra per
     # session of four packets is 16.6667 ms (geometric series)
     channel = remote_udp(rtt=RttDistribution.constant(0.0))
-    mean = _mean(lambda r: transfer_session(channel, r), 20_000, seed=4)
+    mean = statistics.mean(_sessions(channel, 20_000, seed=4))
     assert abs(mean / 16.66664 - 1.0) < 0.10
 
 
@@ -114,7 +117,7 @@ def test_udp_loss_rate_monotone_in_mean():
     means = []
     for loss in (0.0, 0.05, 0.2):
         channel = remote_udp(rtt=RttDistribution.constant(1.0), loss_prob=loss)
-        means.append(_mean(lambda r: transfer_session(channel, r), 3000, seed=5))
+        means.append(statistics.mean(_sessions(channel, 3000, seed=5)))
     assert means[0] < means[1] < means[2]
     assert means[0] == 2.0
 
@@ -168,21 +171,18 @@ def test_coupled_auth_elapsed():
 
 
 def test_packet_counts_frozen():
-    tcp = remote_tcp()
-    assert tcp.auth_packet_count == 63
-    assert tcp.extra_attach_complete_packets == 4
-    udp = remote_udp()
-    assert udp.auth_packet_count == 36
-    assert udp.extra_attach_complete_packets == 2
+    for channel, packets in ((remote_tcp(), 63), (remote_udp(), 36)):
+        assert channel.sessions_auth * channel.packets_per_session \
+            + channel.handshake_packets == packets
 
 
 def test_online_penalty():
-    assert OnlinePenalty(enabled=False).sample(RngStream(0)) == 0.0
-    enabled = OnlinePenalty(enabled=True)
-    mean = _mean(enabled.sample, 2000, seed=10)
+    assert OnlinePenalty(enabled=False).draw(RngStream(0).gen, 3).tolist() \
+        == [0.0] * 3
+    mean = OnlinePenalty(enabled=True).draw(RngStream(10).gen, 2000).mean()
     assert abs(mean / 460.0 - 1.0) < 0.05
     custom = OnlinePenalty(enabled=True, mean_ms=100.0, std_ms=0.0)
-    assert custom.sample(RngStream(0)) == 100.0
+    assert custom.draw(RngStream(0).gen, 3).tolist() == [100.0] * 3
     with pytest.raises(ConfigError):
         OnlinePenalty(enabled=True, std_ms=-1.0)
 

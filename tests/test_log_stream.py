@@ -29,7 +29,6 @@ from attachsim import (
     Outcome,
     ParseError,
     SignalingMessage,
-    aggregate_auth_latency,
     classify,
     compute_step_latencies,
     parse_config,
@@ -163,7 +162,7 @@ def _mixed_log(out: Path, seed: int, attaches: int) -> Path:
 def _oracle_detection(logs: Path, baseline: Path, policy: DetectPolicy,
                       report: Path):
     """run_detection composed from the reference reader,
-    compute_step_latencies, aggregate_auth_latency and classify."""
+    compute_step_latencies, LatencyStats and classify."""
     def samples(path):
         return {device_id: [s for rec in recs
                             for s in compute_step_latencies(rec)]
@@ -175,16 +174,12 @@ def _oracle_detection(logs: Path, baseline: Path, policy: DetectPolicy,
     test = samples(logs)
     verdicts, skipped = [], []
     for device_id in sorted(test):
-        try:
-            stats = aggregate_auth_latency(test[device_id], device_id)
-        except EmptyWindow:
+        values = [s.latency for s in test[device_id] if s.step == AUTH]
+        if len(values) < 2:
             skipped.append(device_id)
             continue
-        if stats.n < 2:
-            skipped.append(device_id)
-            continue
-        verdicts.append(classify(stats, baseline_stats, policy,
-                                 device_id=device_id))
+        verdicts.append(classify(LatencyStats.from_samples(values),
+                                 baseline_stats, policy, device_id=device_id))
     _write_detection_reports(report, report.with_suffix(".json"), verdicts,
                              skipped, baseline_stats, policy)
     return verdicts, skipped
@@ -476,6 +471,21 @@ def test_long_line_fails_as_before(sample_log, ending):
     after = _reads_as_reference(array + ending + _sample_bytes(lines), 1024)
     assert after == ((keys, 1) if ending else
                      ("line 1: invalid JSON (Extra data)", 1))
+
+
+def test_unpaired_pieces_skip_tail_lookups(sample_log):
+    """A line holding 1,000 `, "layer": ` (a log exported as one
+    JSON array) goes straight to the per-line split: at most one tail
+    lookup a line, and the reference reader's error."""
+    lines, _, _ = sample_log
+    array = "[" + ", ".join((lines * 1000)[:1000]) + "]\n"
+    learn = scenario._LogReader._learn
+    with mock.patch.object(scenario._LogReader, "_learn", autospec=True,
+                           side_effect=learn) as spy:
+        assert _reads_as_reference(array.encode(), 1 << 18) == (
+            f"line 1: expected exactly keys {sorted(scenario._LOG_KEYS)}", 1)
+    # the log is one line, read by each reader in _READERS
+    assert 1 <= spy.call_count <= len(_READERS)
 
 
 _TIME_TEXTS = st.one_of(

@@ -19,14 +19,12 @@ from attachsim import (
     ReauthPolicy,
     RngStream,
     SignalingMessage,
-    aggregate_auth_latency,
     classify,
     compute_step_latencies,
     schedule_reauth,
     welch_t,
 )
 from attachsim.core import TIME_QUANTUM_MS
-from attachsim.monitor import LatencySample
 
 
 def _record(times_steps, device="dev-000", outcome=Outcome.Completed):
@@ -72,35 +70,12 @@ def test_step_latencies_reject_malformed():
         compute_step_latencies(_record([(10.0, 0), (9.0, 1)]))
 
 
-def _auth_samples(values, device="dev-000"):
-    return [LatencySample(device_id=device, step=AttachStep.AuthenticationResponse,
-                          latency=v, attach_seq=i, wall_time=1000.0 * i)
-            for i, v in enumerate(values)]
-
-
-def test_aggregate_auth_latency():
-    stats = aggregate_auth_latency(_auth_samples([70.0, 70.0, 70.0]), "dev-000")
+def test_latency_stats_validation():
+    stats = LatencyStats.from_samples([70.0, 70.0, 70.0])
     assert (stats.n, stats.mean, stats.std, stats.median) == (3, 70.0, 0.0, 70.0)
-    stats = aggregate_auth_latency(_auth_samples([60.0, 70.0, 80.0]), "dev-000")
+    stats = LatencyStats.from_samples([60.0, 70.0, 80.0])
     assert stats.std == pytest.approx(10.0)  # hand value: stdev({60,70,80})
     assert (stats.min, stats.max) == (60.0, 80.0)
-
-
-def test_aggregate_filters_device_step_and_window():
-    samples = _auth_samples([50.0, 60.0, 70.0]) + _auth_samples([99.0], "other")
-    samples.append(LatencySample("dev-000", AttachStep.AttachComplete, 5.0, 9,
-                                 123.0))
-    stats = aggregate_auth_latency(samples, "dev-000")
-    assert stats.n == 3
-    windowed = aggregate_auth_latency(samples, "dev-000", window=(0.0, 2000.0))
-    assert windowed.n == 2  # wall times 0 and 1000 fall inside [0, 2000)
-    with pytest.raises(EmptyWindow):
-        aggregate_auth_latency(samples, "dev-000", window=(5000.0, 6000.0))
-    with pytest.raises(EmptyWindow):
-        aggregate_auth_latency([], "dev-000")
-
-
-def test_latency_stats_validation():
     assert LatencyStats.from_samples([4.0]).std == 0.0
     with pytest.raises(EmptyWindow):
         LatencyStats.from_samples([])
@@ -121,7 +96,6 @@ def test_welch_t_frozen_example():
     assert result.df == pytest.approx(98.0, rel=1e-9)
     assert result.p_value == pytest.approx(6.051268763311115e-17, rel=1e-6)
     assert result.t_ratio == pytest.approx(50.0 / 1.65, rel=1e-12)
-    assert result.critical == 1.65
 
 
 def test_welch_t_symmetry():

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import attachsim
 from attachsim import (
     ConfigError,
     DetectPolicy,
@@ -46,6 +48,17 @@ def _config(**overrides) -> ScenarioConfig:
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_package_root_names_match_all():
+    """`__all__` is sorted, free of duplicates, and names exactly the
+    public names other than modules that the package root binds."""
+    names = attachsim.__all__
+    assert names == sorted(set(names))
+    bound = {name for name, value in vars(attachsim).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(names) == bound
 
 
 def test_parse_config_defaults():
