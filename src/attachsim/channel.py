@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, sorted_median
 
 COUPLED_SERIAL = "coupled_serial"
 REMOTE_TCP = "remote_tcp"
@@ -67,7 +67,7 @@ class RttDistribution:
     @classmethod
     def empirical(cls, samples, checksum: str | None = None) -> "RttDistribution":
         arr = np.asarray(list(samples), dtype=float)
-        median = float(np.median(arr)) if arr.size else 0.0
+        median = sorted_median(np.sort(arr)) if arr.size else 0.0
         return cls(kind="empirical", median_ms=median, samples=arr, checksum=checksum)
 
     @classmethod

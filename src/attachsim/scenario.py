@@ -883,6 +883,8 @@ def _write_detection_reports(csv_path: Path, json_path: Path,
 def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,
                       out_path: str | Path, bins: int = 60) -> Path:
     """Histogram of one step's latencies, as CSV points for plotting."""
+    if bins < 1:
+        raise ConfigError(f"bins must be at least 1, got {bins}")
     if isinstance(step, str):
         step = step_named(step)
     elif isinstance(step, int):

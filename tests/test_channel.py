@@ -333,6 +333,34 @@ def test_calibration_imports_no_optimizer():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_cli_commands_import_no_scipy(tmp_path):
+    # importing scipy roughly doubles the start-up time of every command
+    code = ("import json, sys\n"
+            "from attachsim.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for name, seed in (('test', 1), ('base', 2)):\n"
+            "    with open(f'{out}/{name}.json', 'w') as f:\n"
+            "        json.dump({'version': 1, 'seed': seed,\n"
+            "                   'attaches_per_device': 4,\n"
+            "                   'fleet': [{'profile': 'FairPhone5G',\n"
+            "                              'count': 2}]}, f)\n"
+            "    assert main(['simulate', '--config', f'{out}/{name}.json',\n"
+            "                 '--out', f'{out}/{name}']) == 0\n"
+            "assert main(['detect', '--logs', f'{out}/test/logs.jsonl',\n"
+            "             '--baseline', f'{out}/base/logs.jsonl',\n"
+            "             '--report', f'{out}/report.csv']) in (0, 2)\n"
+            "assert main(['distribution', '--logs', f'{out}/test/logs.jsonl',\n"
+            "             '--step', 'AuthenticationResponse',\n"
+            "             '--out', f'{out}/dist.csv']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(chan_mod.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
+                   env=env)
+
+
 def test_calibration_deterministic():
     a = calibrate_processing(remote_tcp(), 2122.7)
     b = calibrate_processing(remote_tcp(), 2122.7)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from attachsim import (
     welch_t,
 )
 from attachsim.core import TIME_QUANTUM_MS
+from attachsim.monitor import _student_sf
 
 
 def _record(times_steps, device="dev-000", outcome=Outcome.Completed):
@@ -83,6 +86,18 @@ def test_latency_stats_validation():
         LatencyStats(n=0, mean=0, std=0, median=0, min=0, max=0)
     with pytest.raises(DegenerateInput):
         LatencyStats(n=2, mean=1, std=1, median=5, min=0, max=2)
+
+
+def test_latency_stats_order_statistics_match_numpy():
+    rng = np.random.default_rng(7)
+    for n in list(range(1, 12)) + [50, 51, 400]:
+        for values in (rng.lognormal(4.0, 1.0, n),
+                       np.round(rng.normal(60.0, 5.0, n) * 4) / 4):  # ties
+            stats = LatencyStats.from_samples(values.tolist())
+            assert (stats.median, stats.min, stats.max) == (
+                float(np.median(values)), float(np.min(values)),
+                float(np.max(values)))
+            assert stats.mean == float(np.mean(values))
 
 
 def test_welch_t_frozen_example():
@@ -165,6 +180,29 @@ def test_welch_p_value_exact_above_df_200():
             result = _welch_at(t, df)
             ref = scipy.stats.t.sf(result.t_welch, result.df)
             assert result.p_value == pytest.approx(ref, rel=1e-10), (t, df)
+
+
+@pytest.mark.parametrize("df_max", [1e6, 1e15])
+def test_student_sf_matches_scipy_on_random_grid(df_max):
+    # Welch df reaches n_a + n_b - 2, so the grid runs past df 1e6 too
+    rng = np.random.default_rng(20261018)
+    t = rng.uniform(0.0, 40.0, 10_000)
+    df = np.exp(rng.uniform(0.0, math.log(df_max), 10_000))
+    ref = scipy.special.stdtr(df, -t)
+    got = np.array([_student_sf(float(a), float(b)) for a, b in zip(t, df)])
+    shown = ref > 1e-300
+    assert shown.sum() > 9_000
+    np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-10, atol=0)
+    assert np.all(got[~shown] < 1e-290)
+
+
+def test_student_sf_shape():
+    ts = np.linspace(0.0, 40.0, 401)
+    for df in np.exp(np.linspace(0.0, math.log(1e9), 40)):
+        tail = [_student_sf(float(t), float(df)) for t in ts]
+        assert tail[0] == 0.5
+        assert all(0.0 <= p <= 0.5 for p in tail), df
+        assert all(b <= a for a, b in zip(tail, tail[1:])), df
 
 
 def test_student_tail_table_pins():

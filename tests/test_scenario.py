@@ -495,14 +495,20 @@ _BAD_POLICIES = {
     "policy_critical_bool": {"critical": True},
     "policy_not_object": [1.65],
 }
+_BAD_BINS = {"bins_zero": "0", "bins_negative": "-3"}
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS) + sorted(_BAD_POLICIES))
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS) + sorted(_BAD_POLICIES)
+                         + sorted(_BAD_BINS))
 def test_cli_rejects_bad_values_without_traceback(tmp_path, capsys, case):
     path = tmp_path / "input.json"
     if case in _BAD_CONFIGS:
         path.write_text(json.dumps(_BAD_CONFIGS[case]))
         argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
+    elif case in _BAD_BINS:
+        argv = ["distribution", "--logs", str(_sample_log(tmp_path)),
+                "--step", "AuthenticationResponse",
+                "--out", str(tmp_path / "o"), "--bins", _BAD_BINS[case]]
     else:
         path.write_text(json.dumps(_BAD_POLICIES[case]))
         log = _sample_log(tmp_path)
