@@ -20,8 +20,12 @@ class ParseError(ValueError):
     """Malformed log input; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        # both arguments go to args, so the error survives pickling
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 class MalformedRecord(ValueError):

@@ -53,8 +53,11 @@ class LatencyStats:
             raise DegenerateInput("stats need at least one sample")
         if not self.min <= self.median <= self.max:
             raise DegenerateInput("median must sit between min and max")
+        if not math.isfinite(self.mean) or not math.isfinite(self.std):
+            raise DegenerateInput("latency mean or std overflows a float")
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # __post_init__ checks
     def from_samples(cls, values: Sequence[float]) -> "LatencyStats":
         arr = np.asarray(list(values), dtype=float)
         if arr.size == 0:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -803,18 +805,55 @@ class DetectionResult:
     json_path: Path
 
 
+def _fork_join(here, there):
+    """`(here(), there())`, with `there` run in a forked child meanwhile.
+
+    The child pickles its result or exception into a pipe and always leaves
+    through os._exit. It is killed and reaped before this returns or raises,
+    and an exception of `here` wins. Without os.fork both run inline.
+    """
+    if not hasattr(os, "fork"):
+        return here(), there()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                result = True, there()
+            except BaseException as exc:
+                result = False, exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, -1)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            mine = here()
+            ok, theirs = pickle.load(pipe)
+    finally:  # a child that has answered has nothing left to do
+        os.kill(pid, 9)  # SIGKILL; the signal module takes 1 ms to import
+        os.waitpid(pid, 0)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 def run_detection(logs_path: str | Path, baseline_path: str | Path,
                   policy: DetectPolicy, report_path: str | Path
                   ) -> DetectionResult:
     """Score every device in the logs against the baseline population.
 
     Each log is read once, keeping only each device's authentication
-    latencies.
+    latencies. The baseline log is read in a forked child while this
+    process reads the test log; an error in the test log wins.
     """
     auth = AttachStep.AuthenticationResponse
-    device_latencies = _step_latencies(logs_path, auth)
-    baseline_values = [value for values in _step_latencies(baseline_path,
-                                                           auth).values()
+    device_latencies, baseline_latencies = _fork_join(
+        lambda: _step_latencies(logs_path, auth),
+        lambda: _step_latencies(baseline_path, auth))
+    baseline_values = [value for values in baseline_latencies.values()
                        for value in values]
     if not baseline_values:
         raise EmptyWindow("baseline logs contain no authentication samples")
@@ -877,7 +916,8 @@ def _write_detection_reports(csv_path: Path, json_path: Path,
         ],
         "skipped_devices": skipped,
     }
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    json_path.write_text(json.dumps(payload, indent=2, allow_nan=False)
+                         + "\n")
 
 
 def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,

@@ -353,7 +353,10 @@ def test_cli_commands_import_no_scipy(tmp_path):
             "             '--step', 'AuthenticationResponse',\n"
             "             '--out', f'{out}/dist.csv']) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded, loaded\n")
+            "assert not loaded, loaded\n"
+            # detect's fork-join uses os.fork, not these (12-40 ms of import)
+            "pools = {'multiprocessing', 'concurrent.futures', 'subprocess'}\n"
+            "assert not pools & set(sys.modules), pools & set(sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(chan_mod.__file__).parents[1])]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -86,6 +86,8 @@ def test_latency_stats_validation():
         LatencyStats(n=0, mean=0, std=0, median=0, min=0, max=0)
     with pytest.raises(DegenerateInput):
         LatencyStats(n=2, mean=1, std=1, median=5, min=0, max=2)
+    with pytest.raises(DegenerateInput):  # the sum overflows to inf
+        LatencyStats.from_samples([1.5e308] * 3)
 
 
 def test_latency_stats_order_statistics_match_numpy():

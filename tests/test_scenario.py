@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import pickle
 import re
+import sys
 import tempfile
+import time
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -27,8 +31,16 @@ from attachsim import (
     run_detection,
     run_scenario,
 )
+from attachsim import scenario
 from attachsim.cli import main
-from attachsim.core import DECIMALS, SHORT_DECIMALS, SHORT_TICKS, fmt_ms
+from attachsim.core import (
+    DECIMALS,
+    SHORT_DECIMALS,
+    SHORT_TICKS,
+    DegenerateInput,
+    MalformedRecord,
+    fmt_ms,
+)
 from attachsim.fleet import builtin_profiles
 from attachsim.monitor import compute_step_latencies
 from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
@@ -296,17 +308,21 @@ def test_parse_logs_rejects_truncated_tail(tmp_path):
         parse_logs(tmp_path / "tail.jsonl")
 
 
-def test_detection_reports(tmp_path):
-    base_cfg = ScenarioConfig(seed=21, fleet=(FleetEntry("FairPhone5G", 3),),
-                              attaches_per_device=20)
-    base = run_scenario(base_cfg, tmp_path / "base")
-    mix_cfg = ScenarioConfig(seed=22, fleet=(FleetEntry("FairPhone5G", 2),
-                                             FleetEntry("SMBHyb_rem", 1)),
-                             attaches_per_device=10)
-    mix = run_scenario(mix_cfg, tmp_path / "mix")
+def _detect_pair(tmp_path):
+    """A small mixed test log and a phone baseline log."""
+    base = run_scenario(
+        ScenarioConfig(seed=21, fleet=(FleetEntry("FairPhone5G", 3),),
+                       attaches_per_device=20), tmp_path / "base")
+    mix = run_scenario(
+        ScenarioConfig(seed=22, fleet=(FleetEntry("FairPhone5G", 2),
+                                       FleetEntry("SMBHyb_rem", 1)),
+                       attaches_per_device=10), tmp_path / "mix")
+    return mix.logs_path, base.logs_path
 
-    result = run_detection(mix.logs_path, base.logs_path, DetectPolicy(),
-                           tmp_path / "report.csv")
+
+def test_detection_reports(tmp_path):
+    logs, base = _detect_pair(tmp_path)
+    result = run_detection(logs, base, DetectPolicy(), tmp_path / "report.csv")
     assert result.flagged
     decisions = {v.device_id: v.decision.value for v in result.verdicts}
     assert decisions["SMBHyb_rem-000"] == "Flagged"
@@ -345,6 +361,115 @@ def test_detection_needs_baseline_samples(tmp_path):
     empty.write_text("")
     with pytest.raises(EmptyWindow):
         run_detection(log, empty, DetectPolicy(), tmp_path / "r.csv")
+
+
+def _corrupt(path, line):
+    """A copy of the log at `path` whose `line` (1-based) is not JSON."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"{not json}\n"
+    out = path.with_name(f"bad-{line}.jsonl")
+    out.write_bytes(b"".join(lines))
+    return out
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_detection_inline_matches_forked(tmp_path, monkeypatch):
+    logs, base = _detect_pair(tmp_path)
+    run_detection(logs, base, DetectPolicy(), tmp_path / "forked.csv")
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    run_detection(logs, base, DetectPolicy(), tmp_path / "inline.csv")
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"forked{suffix}").read_bytes() \
+            == (tmp_path / f"inline{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_detection_bad_baseline_raises_its_parse_error(tmp_path, monkeypatch,
+                                                       fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    logs, base = _detect_pair(tmp_path)
+    with pytest.raises(ParseError) as err:
+        run_detection(logs, _corrupt(base, 7), DetectPolicy(),
+                      tmp_path / "r.csv")
+    assert type(err.value) is ParseError
+    assert err.value.line == 7
+    assert str(err.value).startswith("line 7: invalid JSON")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_detection_bad_test_and_baseline_raise_the_test_error(
+        tmp_path, monkeypatch, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    logs, base = _detect_pair(tmp_path)
+    with pytest.raises(ParseError) as err:
+        run_detection(_corrupt(logs, 12), _corrupt(base, 3), DetectPolicy(),
+                      tmp_path / "r.csv")
+    assert err.value.line == 12
+    _assert_no_child_left()
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_fork_join_kills_the_child_when_this_half_raises():
+    def interrupted():
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        scenario._fork_join(interrupted, lambda: time.sleep(60))
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
+def test_fork_join_returns_both_halves_and_child_exits():
+    here, there = scenario._fork_join(os.getpid, os.getpid)
+    assert here == os.getpid() != there
+    with pytest.raises(SystemExit) as err:  # a BaseException of the child
+        scenario._fork_join(int, lambda: sys.exit(3))
+    assert err.value.code == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    ParseError("bad time 'x'", 3), ConfigError("c"), MalformedRecord("m"),
+    EmptyWindow("e"), DegenerateInput("d")])
+def test_core_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, "line", None) == getattr(error, "line", None)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+def test_cli_detect_overflowing_latencies_are_an_error(tmp_path, capsys):
+    # the README baseline against 3 attaches whose auth step sits at
+    # 1.5e308 ms: their latency sum overflows np.mean
+    base = run_scenario(
+        ScenarioConfig(seed=8, fleet=(FleetEntry("FairPhone5G", 8),),
+                       attaches_per_device=50), tmp_path / "base")
+    auth = AttachStep.AuthenticationResponse
+    lines = [json.dumps({"time": 1.5e308 if step >= auth
+                         else 1000.0 * attach + step,
+                         "layer": "NAS", "direction": step.direction,
+                         "device_id": "SMBHyb_rem-000", "message": step.name})
+             for attach in range(3) for step in AttachStep]
+    logs = tmp_path / "logs.jsonl"
+    logs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--logs", str(logs),
+                 "--baseline", str(base.logs_path),
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_distribution_masses(tmp_path):
