@@ -219,8 +219,12 @@ def welch_t(group_a: LatencyStats, group_b: LatencyStats,
     """
     if group_a.n < 2 or group_b.n < 2:
         raise DegenerateInput("both groups need n >= 2")
-    va, vb = group_a.std ** 2, group_b.std ** 2
     na, nb = group_a.n, group_b.n
+    # finite stats can still overflow a square here: float ** raises
+    try:
+        va, vb = group_a.std ** 2, group_b.std ** 2
+    except OverflowError:
+        raise DegenerateInput("a latency variance overflows a float") from None
     se = math.sqrt(va / na + vb / nb)
     diff = abs(group_b.mean - group_a.mean)
     if se == 0.0:
@@ -230,9 +234,15 @@ def welch_t(group_a: LatencyStats, group_b: LatencyStats,
                            p_value=0.5, t_welch=0.0, df=float(na + nb - 2))
     t_welch_val = diff / se
     t_val = diff / math.sqrt(se * se * (1.0 / nb + 1.0 / na))
-    df_num = (va / na + vb / nb) ** 2
-    df_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-    df = df_num / df_den
+    try:
+        df_num = (va / na + vb / nb) ** 2
+        df_den = (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+        df = df_num / df_den
+    except (OverflowError, ZeroDivisionError):  # ZeroDivision: both underflow
+        df = math.nan
+    if not math.isfinite(df):
+        raise DegenerateInput("the Welch-Satterthwaite degrees of freedom "
+                              "are not finite")
     return TTestResult(se=se, t=t_val, t_ratio=t_val / critical,
                        p_value=_student_sf(t_welch_val, df),
                        t_welch=t_welch_val, df=df)

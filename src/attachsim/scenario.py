@@ -17,7 +17,7 @@ import pickle
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +27,16 @@ from .aka import SubscriberKey, algorithm_named
 from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
 from .core import (
     DECIMALS,
-    SHORT_DECIMALS,
-    SHORT_TICKS,
     TIME_LIMIT_MS,
     ConfigError,
     EmptyWindow,
     ParseError,
     RngStream,
+    digit_cells,
+    lattice_repr,
     read_section,
     read_value,
+    text_cells,
 )
 from .fleet import (
     CampDecision,
@@ -304,6 +305,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
 
 
 _LOG_CHUNK = 4096  # lines per write
+# records rows per write: a chunk's byte matrix is about 0.8 MB, and it
+# and the mask that drops its NULs stay small next to the fleet's arrays
+_RECORD_CHUNK = 1024
 
 
 def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
@@ -327,7 +331,11 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
                                     sent.shape)[sent])
     time = np.concatenate(times)
     key = np.concatenate(keys)
-    order = np.lexsort((key, time))
+    # A device's times strictly increase (steps take at least 0.1 ms and
+    # an attach starts after the previous one ends), so equal times belong
+    # to different devices, and a stable sort leaves them in rank order:
+    # the (time, key) order
+    order = np.argsort(time, kind="stable")
     decimals = DECIMALS
     with path.open("w") as f:
         for lo in range(0, order.size, _LOG_CHUNK):
@@ -343,85 +351,126 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
 
 def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
     """One JSON row per attach, devices sorted by id, as json.dumps writes
-    it: floats by repr, a missing value as null.  Step latencies below
-    2**19 ms are rendered from their lattice ticks (see SHORT_TICKS)."""
+    it: floats by repr, a missing value as null.
+
+    A chunk of rows, across devices, is rendered at once as a matrix of
+    4-byte cells (see text_cells): one column range per piece of a row,
+    NUL where the row has no such piece.  No piece holds a NUL byte (all
+    are ASCII, and json.dumps escapes control characters in ids), so the
+    matrix's bytes without their NULs are the rows.  Times and step
+    latencies are lattice values, written by lattice_repr."""
+    ranked = sorted(devices, key=lambda dev: dev.device_id)
+    sizes = [dev.counts.size for dev in ranked]
+    rows = sum(sizes)
+    device = np.repeat(np.arange(len(ranked)), sizes)
+    seq = np.arange(rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    counts, outcomes, transfer, processing = (
+        np.concatenate([getattr(dev, name) for dev in ranked])
+        for name in ("counts", "outcomes", "transfer_ms", "processing_ms"))
+    # per attach: its step latencies by step value, in ticks (0 where it
+    # sent no such step), and the ticks of its first and last message
+    gaps = np.zeros((rows, len(AttachStep)), np.int64)
+    sent = np.zeros(gaps.shape, bool)
+    span = np.zeros((rows, 2), np.int64)
+    lo = 0
+    for steps, run in groupby(ranked, key=lambda dev: dev.steps):
+        ticks = (np.concatenate([dev.times for dev in run]) * 1024.0
+                 ).astype(np.int64)  # exact on the lattice
+        hi = lo + len(ticks)
+        count = counts[lo:hi]
+        sent[lo:hi, list(steps)] = np.arange(len(steps)) < count[:, None]
+        gaps[lo:hi, list(steps[1:])] = np.diff(ticks, axis=1)
+        span[lo:hi, 0] = ticks[:, 0]
+        span[lo:hi, 1] = ticks[np.arange(len(ticks)), count - 1]
+        lo = hi
+    gaps[~sent] = 0
+
+    heads = text_cells(f'{{"device_id": {json.dumps(dev.device_id)}, '
+                       f'"attach_seq": ' for dev in ranked)
+    opens = text_cells(f', "outcome": "{o.value}", "start_ms": '
+                       for o in OUTCOMES)
+    # the first step is always AttachRequest, at latency 0.0
+    keys = text_cells(f'"{s.name}": ' if s == 0 else f', "{s.name}": '
+                      for s in AttachStep)
+    null, end_key, steps_key, close = (
+        text_cells([text])[0]
+        for text in ("null", ', "end_ms": ', ', "steps": {', "}"))
+
     def number(value: float) -> str:
         return "null" if math.isnan(value) else repr(value)
 
-    outcomes = [f'"outcome": "{o.value}", "start_ms": ' for o in OUTCOMES]
-    short = SHORT_DECIMALS
-    with path.open("w") as f:
-        for dev in sorted(devices, key=lambda d: d.device_id):
-            head = f'{{"device_id": {json.dumps(dev.device_id)}, "attach_seq": '
-            opening = f', "steps": {{"{dev.steps[0].name}": 0.0'
-            keys = [f', "{step.name}": ' for step in dev.steps[1:]]
-            gaps = np.diff(dev.times, axis=1)
-            ticks = (gaps * 1024.0).astype(np.int64)
-            if ticks.size and ticks.max() >= SHORT_TICKS:
-                cells = [[key + repr(gap) for key, gap in zip(keys, row)]
-                         for row in gaps.tolist()]
-            else:
-                cells = [[f"{key}{whole}{short[part]}" for key, whole, part
-                          in zip(keys, wholes, parts)]
-                         for wholes, parts in zip((ticks >> 10).tolist(),
-                                                  (ticks & 1023).tolist())]
-            rows = []
-            for seq, (times, row, count, code, transfer, processing) in \
-                    enumerate(zip(dev.times.tolist(), cells,
-                                  dev.counts.tolist(), dev.outcomes.tolist(),
-                                  dev.transfer_ms.tolist(),
-                                  dev.processing_ms.tolist())):
-                if count:
-                    span = (f'{times[0]!r}, "end_ms": {times[count - 1]!r}'
-                            f'{opening}{"".join(row[:count - 1])}}}')
-                else:
-                    span = 'null, "end_ms": null, "steps": {}'
-                rows.append(
-                    f'{head}{seq}, {outcomes[code]}{span}, '
-                    f'"auth_transfer_ms": {number(transfer)}, '
-                    f'"auth_processing_ms": {number(processing)}}}\n')
-            f.write("".join(rows))
+    def render(chunk: slice) -> np.ndarray:
+        """The bytes of a chunk of rows."""
+        n = counts[chunk].size
+        bounds = lattice_repr(span[chunk].ravel()).reshape(n, 2, -1)
+        unsent = counts[chunk] == 0
+        bounds[unsent] = 0
+        bounds[unsent, :, :null.size] = null
+        values = lattice_repr(gaps[chunk].ravel()).reshape(n, len(keys), -1)
+        # tails[0] ends the rows without relay totals
+        relay = np.flatnonzero(~(np.isnan(transfer[chunk])
+                                 & np.isnan(processing[chunk])))
+        tails = text_cells(
+            f', "auth_transfer_ms": {number(a)}, '
+            f'"auth_processing_ms": {number(b)}}}\n'
+            for a, b in [(math.nan, math.nan)] + list(zip(
+                transfer[chunk][relay].tolist(),
+                processing[chunk][relay].tolist())))
+        tail = np.zeros(n, np.intp)
+        tail[relay] = np.arange(1, relay.size + 1)
+        step_cells = np.concatenate([
+            np.broadcast_to(keys, (n,) + keys.shape), values], axis=2)
+        step_cells *= sent[chunk, :, None]  # blank the steps not sent
+        matrix = np.concatenate([
+            heads[device[chunk]], digit_cells(seq[chunk]),
+            opens[outcomes[chunk]], bounds[:, 0],
+            np.broadcast_to(end_key, (n, end_key.size)), bounds[:, 1],
+            np.broadcast_to(steps_key, (n, steps_key.size)),
+            step_cells.reshape(n, -1),
+            np.broadcast_to(close, (n, close.size)), tails[tail]],
+            axis=1).view(np.uint8)
+        return matrix[matrix != 0]
+
+    with path.open("wb") as f:
+        f.writelines(render(slice(lo, lo + _RECORD_CHUNK))
+                     for lo in range(0, rows, _RECORD_CHUNK))
 
 
 def _write_summary(path: Path, devices: list[DeviceAttaches],
                    model_order: list[str]) -> None:
     """Latency table: one row per step plus totals, one column per model.
 
-    Each cell's values are concatenated in device, then attach order."""
-    per_model: dict[str, dict[AttachStep, list[np.ndarray]]] = {
-        m: {} for m in model_order}
-    totals: dict[str, list[np.ndarray]] = {m: [] for m in model_order}
-    for dev in devices:
-        columns = per_model[dev.model]
-        gaps = np.diff(dev.times, axis=1)
-        for j, step in enumerate(dev.steps):
-            sent = dev.counts > j
-            if sent.any():
-                values = columns.setdefault(step, [])
-                if j:  # AttachRequest has no latency
-                    values.append(gaps[sent, j - 1])
-        done = dev.outcomes == OUTCOMES.index(Outcome.Completed)
-        totals[dev.model].append(dev.times[done, -1] - dev.times[done, 0])
+    A model name stands for one profile, so its devices share their steps:
+    each model's attaches are stacked once, in device then attach order,
+    and each cell reads its values from the stack."""
+    def cell(values: np.ndarray) -> str:
+        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+        return f"{float(np.mean(values)):.1f}±{std:.1f}"
 
-    def cell(parts: list[np.ndarray]) -> str:
-        arr = np.concatenate(parts)
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        return f"{float(np.mean(arr)):.1f}±{std:.1f}"
+    by_model: dict[str, list[DeviceAttaches]] = {m: [] for m in model_order}
+    for dev in devices:
+        by_model[dev.model].append(dev)
+    columns, totals = [], []
+    for model in model_order:
+        times, counts, outcomes = (
+            np.concatenate([getattr(dev, name) for dev in by_model[model]])
+            for name in ("times", "counts", "outcomes"))
+        gaps = np.diff(times, axis=1)
+        column = {}
+        for j, step in enumerate(by_model[model][0].steps):
+            sent = counts > j
+            if sent.any():  # AttachRequest has no latency
+                column[step] = cell(gaps[sent, j - 1]) if j else "0.0±0.0"
+        columns.append(column)
+        done = outcomes == OUTCOMES.index(Outcome.Completed)
+        totals.append(cell(times[done, -1] - times[done, 0])
+                      if done.any() else "/")
 
     lines = ["step,message,direction," + ",".join(model_order)]
     for step in ATTACH_SEQUENCE:
-        cells = []
-        for model in model_order:
-            if step not in per_model[model]:
-                cells.append("/")
-            elif step == AttachStep.AttachRequest:
-                cells.append("0.0±0.0")
-            else:
-                cells.append(cell(per_model[model][step]))
-        lines.append(f"{step.value},{step.name},{step.direction}," + ",".join(cells))
-    total_cells = [cell(totals[m]) if any(t.size for t in totals[m]) else "/"
-                   for m in model_order]
-    lines.append("-,Total,-," + ",".join(total_cells))
+        lines.append(f"{step.value},{step.name},{step.direction},"
+                     + ",".join(column.get(step, "/") for column in columns))
+    lines.append("-,Total,-," + ",".join(totals))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -138,6 +138,19 @@ def test_welch_t_degenerate_inputs():
         welch_t(_stats(10, 5.0, 0.0), _stats(10, 6.0, 0.0))
 
 
+def test_welch_t_overflowing_df_is_degenerate():
+    # finite stats whose Welch-Satterthwaite terms leave the float range:
+    # (va/na + vb/nb)**2 overflows, or (va/na)**2 underflows to 0 on both
+    # sides while se stays above 0
+    huge = LatencyStats.from_samples([10.0, 1e100, 2e100])
+    with pytest.raises(DegenerateInput, match="degrees of freedom"):
+        welch_t(LatencyStats.from_samples([50.0, 60.0, 70.0]), huge)
+    with pytest.raises(DegenerateInput, match="degrees of freedom"):
+        welch_t(_stats(3, 1.0, 1e-160), _stats(3, 1.0, 1e-160))
+    with pytest.raises(DegenerateInput, match="variance"):
+        welch_t(_stats(3, 1.0, 1e200), _stats(3, 2.0, 1.0))
+
+
 @given(st.integers(2, 400), st.integers(2, 400),
        st.floats(0.0, 100.0), st.floats(0.1, 40.0),
        st.floats(0.0, 100.0), st.floats(0.1, 40.0))

@@ -35,11 +35,13 @@ from attachsim import scenario
 from attachsim.cli import main
 from attachsim.core import (
     DECIMALS,
+    REPR_TICKS,
     SHORT_DECIMALS,
     SHORT_TICKS,
     DegenerateInput,
     MalformedRecord,
     fmt_ms,
+    lattice_repr,
 )
 from attachsim.fleet import builtin_profiles
 from attachsim.monitor import compute_step_latencies
@@ -470,6 +472,30 @@ def test_cli_detect_overflowing_latencies_are_an_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_detect_overflowing_welch_df_is_an_error(tmp_path, capsys):
+    # finite latencies of about 10, 1e100 and 2e100 ms: their mean and std
+    # are finite, but the Welch-Satterthwaite df overflows a float
+    base = run_scenario(
+        ScenarioConfig(seed=8, fleet=(FleetEntry("FairPhone5G", 8),),
+                       attaches_per_device=50), tmp_path / "base")
+    auth = AttachStep.AuthenticationResponse
+    lines = [json.dumps({"time": (1000.0 * attach + step if step < auth
+                                  else [13.0, 1e100, 2e100][attach]),
+                         "layer": "NAS", "direction": step.direction,
+                         "device_id": "SMBHyb_rem-000", "message": step.name})
+             for attach in range(3) for step in AttachStep]
+    logs = tmp_path / "logs.jsonl"
+    logs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--logs", str(logs),
+                 "--baseline", str(base.logs_path),
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "degrees of freedom" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_distribution_masses(tmp_path):
@@ -998,6 +1024,30 @@ def test_property_lattice_formatters(k, short):
         == repr(short / 1024) == json.dumps(short / 1024)
 
 
+@given(st.one_of(
+    st.integers(0, 2 ** 53 - 1),
+    st.integers(REPR_TICKS - 4, REPR_TICKS + 4),
+    # odd ticks from 2**32 on tie between two 9-decimal candidates
+    st.integers(2 ** 31, 2 ** 40).map(lambda k: 2 * k + 1),
+    st.integers(0, 52).map(lambda j: 2 ** j)))
+def test_property_lattice_repr(k):
+    cells = lattice_repr(np.array([k], np.int64))
+    assert cells.dtype == np.uint32
+    assert cells.tobytes().replace(b"\0", b"").decode() == repr(k / 1024)
+
+
+def test_lattice_repr_cases():
+    ticks = [0, 1, 1023, 1024, SHORT_TICKS - 1, SHORT_TICKS, SHORT_TICKS + 1,
+             REPR_TICKS - 1, REPR_TICKS, REPR_TICKS + 1, 2 ** 53 - 1]
+    ticks += [2 ** j for j in range(53)]
+    ticks += [2 ** j + 1 for j in range(32, 52)]  # odd: a 9th-decimal tie
+    ticks += [1024 * 10 ** j for j in range(10)]  # whole milliseconds
+    cells = lattice_repr(np.array(ticks, np.int64))
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in cells] \
+        == [repr(k / 1024) for k in ticks]
+    assert lattice_repr(np.zeros(0, np.int64)).shape[0] == 0
+
+
 def test_records_writer_keeps_repr_for_long_steps(tmp_path):
     # step latencies of 2**19 ms and more take repr, not the tick table
     slow = dict(_INLINE, name="Slow", steps=dict(
@@ -1016,3 +1066,39 @@ def test_records_writer_keeps_repr_for_long_steps(tmp_path):
     assert art.logs_path.read_text() == logs
     assert art.records_path.read_text() == records
     assert art.summary_path.read_text() == summary
+
+
+def test_records_writer_past_2_30_ms(tmp_path):
+    # start and end times past 2**30 ms: their tick count times 9765625
+    # no longer fits an int64, so the lattice repr falls back to repr
+    raw = dict(MINIMAL, attaches_per_device=6, day_span_ms=2.0 ** 40,
+               fleet=[{"profile": "SMBHyb_rem", "count": 1},
+                      {"profile": "FairPhone5G", "count": 2}])
+    art = run_scenario(parse_config(raw), tmp_path / "out")
+    starts = [rec.messages[0].time for recs in art.records.values()
+              for rec in recs if rec.messages]
+    assert max(starts) > 2.0 ** 30
+    logs, records, summary = _reference_artifacts(
+        art.records, ["SMBHyb_rem", "FairPhone5G"])
+    assert art.logs_path.read_text() == logs
+    assert art.records_path.read_text() == records
+    assert art.summary_path.read_text() == summary
+
+
+# sha256 of the _EVERY_OUTCOME artifacts.  The determinism contract says
+# that the same config and seed give these bytes on every platform and
+# numpy version; a change that means to alter an artifact updates them.
+_EVERY_OUTCOME_SHA256 = {
+    "logs.jsonl":
+        "83f7be5267200688f25394a6dd4af9a64e31841bd4414693bdd0062aff5e6898",
+    "records.jsonl":
+        "8257847550397b91af19767b77ce80089729a9c82c01a32d0b53bd55851d1e85",
+    "summary.csv":
+        "d378abae566d36eeb442402729b2f5ebe41aa3005968506966ac79237ac22a43",
+}
+
+
+def test_every_outcome_artifacts_match_pinned_digests(tmp_path):
+    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
+    assert {name: _digest(art.out_dir / name)
+            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
