@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,10 +110,15 @@ class DeviceProfile:
             digest = hashlib.sha256(self.name.encode()).digest()
             object.__setattr__(self, "subscriber_key", SubscriberKey(digest[:16]))
 
-    @property
+    @cached_property
     def enabled_steps(self) -> tuple[AttachStep, ...]:
         return tuple(s for s in ATTACH_SEQUENCE
                      if s not in OPTIONAL_STEPS or s in self.optional_steps)
+
+    @cached_property
+    def step_moments(self) -> np.ndarray:
+        """(mean, std) of each enabled step's latency, one row per step."""
+        return np.array([self.step_latency[s] for s in self.enabled_steps])
 
     def sim_side_key(self) -> SubscriberKey:
         if not self.auth_misconfigured:

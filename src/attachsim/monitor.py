@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DegenerateInput, EmptyWindow, MalformedRecord
-from .core import RngStream, TIME_QUANTUM_MS, quantize_ms, sorted_median
+from .core import RngStream, sorted_median
 from .protocol import AttachRecord, AttachStep, step_named
 
 
@@ -275,9 +275,10 @@ class ReauthPolicy:
             raise ConfigError("minimum spacing must be non-negative")
 
 
-def schedule_reauth(policy: ReauthPolicy, day: tuple[float, float],
-                    rng: RngStream) -> list[float]:
-    """Randomly timed authentication triggers over a day range.
+def schedule_devices(policy: ReauthPolicy, day: tuple[float, float],
+                     rngs) -> np.ndarray:
+    """Randomly timed authentication triggers over a day range, one row
+    per device of `rngs`.
 
     Times are uniform over the range subject to the minimum spacing,
     strictly increasing, and quantized like all other timestamps.
@@ -290,11 +291,16 @@ def schedule_reauth(policy: ReauthPolicy, day: tuple[float, float],
             f"cannot place {policy.count} triggers with spacing "
             f"{policy.min_spacing_ms} ms in a {span} ms range")
     free = span - reserved
-    offsets = np.sort(rng.gen.uniform(0.0, free, policy.count)).tolist()
-    times: list[float] = []
-    for i, off in enumerate(offsets):
-        t = quantize_ms(start + off + i * policy.min_spacing_ms)
-        if times and t <= times[-1]:
-            t = times[-1] + TIME_QUANTUM_MS
-        times.append(t)
-    return times
+    offsets = np.sort([rng.gen.uniform(0.0, free, policy.count)
+                       for rng in rngs], axis=1)
+    # in ticks, t_i = max(q_i, t_(i-1) + 1), which unrolls to
+    # cummax(q - i) + i; ticks are integers below 2**53, so exact
+    i = np.arange(policy.count)
+    ticks = np.round((start + offsets + i * policy.min_spacing_ms) * 1024.0)
+    return (np.maximum.accumulate(ticks - i, axis=1) + i) / 1024.0
+
+
+def schedule_reauth(policy: ReauthPolicy, day: tuple[float, float],
+                    rng: RngStream) -> list[float]:
+    """schedule_devices for one device."""
+    return schedule_devices(policy, day, [rng])[0].tolist()

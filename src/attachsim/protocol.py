@@ -181,10 +181,11 @@ class DeviceAttaches:
     processing_ms: np.ndarray
 
     @classmethod
-    def refused(cls, profile: "DeviceProfile", n: int) -> "DeviceAttaches":
+    def refused(cls, profile: "DeviceProfile", n: int, device_id: str
+                ) -> "DeviceAttaches":
         """`n` attaches of a device that never camps."""
         nan = np.full(n, np.nan)
-        return cls(_device_id(profile), profile.name, profile.enabled_steps,
+        return cls(device_id, profile.name, profile.enabled_steps,
                    np.zeros((n, len(profile.enabled_steps))),
                    np.zeros(n, dtype=np.int64),
                    np.full(n, _REFUSED, dtype=np.int8), nan, nan)
@@ -210,19 +211,17 @@ class DeviceAttaches:
         return out
 
 
-def _device_id(profile: "DeviceProfile") -> str:
-    return profile.name if profile.device_id is None else profile.device_id
-
-
 def _lattice(values: np.ndarray) -> np.ndarray:
-    """quantize_ms on an array (np.round also rounds half to even)."""
-    return np.round(values * 1024.0) / 1024.0
+    """quantize_ms on an array (np.rint also rounds half to even)."""
+    return np.rint(values * 1024.0) / 1024.0
 
 
-def run_attaches(profile: "DeviceProfile", channel: SimChannel,
-                 network: NetworkConfig, starts, rng: RngStream
-                 ) -> DeviceAttaches:
-    """Drive one device's attach procedures, one per start time (ms).
+def run_devices(profile: "DeviceProfile", channel: SimChannel,
+                network: NetworkConfig, starts, rngs, device_ids
+                ) -> list[DeviceAttaches]:
+    """Drive the attach procedures of devices sharing one profile: device
+    i runs one attach per start time (ms) in row i of `starts`, draws
+    from rngs[i] and is named device_ids[i].
 
     Step latencies come from the device profile: one standard-normal
     matrix (attaches x steps), floored at 0.1 ms and put on the lattice.
@@ -236,61 +235,85 @@ def run_attaches(profile: "DeviceProfile", channel: SimChannel,
     attach at a time: one that would start at or before the previous
     one's last message starts one lattice quantum after it instead.
     Stochastic outcomes are encoded in the result, never raised; a
-    timestamp at or past TIME_LIMIT_MS is a ConfigError.
+    timestamp at or past TIME_LIMIT_MS is a ConfigError naming the first
+    such device.  Only the draws run per device, each in one order
+    whatever the batch; the arithmetic runs on (devices, attaches, steps)
+    arrays, and each result is a row view of them.
     """
     if profile.channel_kind != channel.kind:
         raise ConfigError(
             f"profile {profile.name!r} expects channel kind "
             f"{profile.channel_kind!r}, got {channel.kind!r}")
-    gen = rng.gen
     steps = profile.enabled_steps
-    n, k = len(starts), len(steps)
+    begin = _lattice(np.asarray(starts, dtype=float))
+    d, n, k = len(rngs), begin.shape[1], len(steps)
     request = steps.index(AttachStep.AuthenticationRequest)
     auth = steps.index(AttachStep.AuthenticationResponse)
     alg = profile.auth_alg
 
-    moments = np.array([profile.step_latency[step] for step in steps])
-    raw = np.maximum(moments[:, 0] + moments[:, 1]
-                     * gen.standard_normal((n, k)), STEP_FLOOR_MS)
-    cost = np.maximum(alg.latency_mean_ms + alg.latency_std_ms
-                      * gen.standard_normal(n), 0.0)
-    over_air = (0.0 if network.transmission is None
-                else network.transmission.draw(gen, n))
-
+    normals = np.empty((d, n, k))
+    cost = np.empty((d, n))
+    over_air = 0.0 if network.transmission is None else np.empty((d, n))
+    rands = []
+    for i, gen in enumerate(rng.gen for rng in rngs):
+        gen.standard_normal((n, k), out=normals[i])
+        gen.standard_normal(n, out=cost[i])
+        if network.transmission is not None:
+            over_air[i] = network.transmission.draw(gen, n)
+        rands.append(gen.bytes(aka.KEY_LEN * n))
     passed = aka.authenticate(profile.subscriber_key, profile.sim_side_key(),
-                              gen.bytes(aka.KEY_LEN * n), alg)
+                              b"".join(rands), alg).reshape(d, n)
 
-    transfer = np.full(n, np.nan)
-    processing = np.full(n, np.nan)
+    moments = profile.step_moments
+    raw = np.maximum(moments[:, 0] + moments[:, 1] * normals, STEP_FLOOR_MS)
+    auth_ms = raw[..., auth]
+    transfer = np.full((d, n), np.nan)
+    processing = transfer.copy()
     if channel.is_remote:
-        transfer[passed], processing[passed] = auth_channel_draws(
-            channel, gen, int(np.count_nonzero(passed)))
-        raw[passed, auth] = transfer[passed] + processing[passed]
-    raw[:, auth] += cost
-    raw[:, auth] += over_air
+        for i, m in enumerate(passed.sum(axis=1).tolist()):
+            transfer[i, passed[i]], processing[i, passed[i]] = \
+                auth_channel_draws(channel, rngs[i].gen, m)
+        np.copyto(auth_ms, transfer + processing, where=passed)
+    auth_ms += np.maximum(alg.latency_mean_ms + alg.latency_std_ms * cost,
+                          0.0)
+    auth_ms += over_air
     latency = np.maximum(_lattice(raw), _STEP_FLOOR_Q)
-    latency[:, 0] = 0.0  # AttachRequest opens the attach at its start
+    latency[..., 0] = 0.0  # AttachRequest opens the attach at its start
 
-    timed_out = passed & (latency[:, auth] > network.auth_timer_ms)
+    timed_out = passed & (latency[..., auth] > network.auth_timer_ms)
     counts = np.where(passed, np.where(timed_out, auth + 1, k), request + 1)
     outcomes = np.where(passed, np.where(timed_out, _TIMEOUT, _COMPLETED),
                         _REJECT).astype(np.int8)
 
     # offsets from the attach start; sums of lattice values are exact
-    offsets = np.cumsum(latency, axis=1)
-    begin = _lattice(np.asarray(starts, dtype=float)).tolist()
-    last = -math.inf  # the device's latest message so far
-    for i, span in enumerate(offsets[np.arange(n), counts - 1].tolist()):
-        if begin[i] <= last:
-            begin[i] = last + TIME_QUANTUM_MS
-        last = begin[i] + span
-    if not last < TIME_LIMIT_MS:  # begins increase, so `last` is the latest
+    offsets = np.add.accumulate(latency, axis=2)
+    spans = offsets.reshape(d * n, k)[np.arange(d * n),
+                                      counts.ravel() - 1].reshape(d, n)
+    # b'_i = max(b_i, b'_(i-1) + span_(i-1) + quantum) is S + cummax(b - S),
+    # S the running sum of span + quantum; exact below the limit, and by
+    # monotone rounding `last` reaches it exactly when a message does
+    shift = np.zeros((d, n))
+    np.add.accumulate(spans[:, :-1] + TIME_QUANTUM_MS, axis=1,
+                      out=shift[:, 1:])
+    begin = shift + np.maximum.accumulate(begin - shift, axis=1)
+    last = begin[:, -1:] + spans[:, -1:]  # each device's latest message
+    if not np.maximum.reduce(last, None, initial=-np.inf) < TIME_LIMIT_MS:
+        first = np.flatnonzero(~(last < TIME_LIMIT_MS))[0]
         raise ConfigError(
-            f"{_device_id(profile)}: a message at {last} ms reaches the "
-            f"{TIME_LIMIT_MS:.0f} ms timestamp limit")
-    return DeviceAttaches(_device_id(profile), profile.name, steps,
-                          np.asarray(begin)[:, None] + offsets, counts,
-                          outcomes, transfer, processing)
+            f"{device_ids[first]}: a message at {last[first, 0]} ms "
+            f"reaches the {TIME_LIMIT_MS:.0f} ms timestamp limit")
+    times = begin[..., None] + offsets
+    return [DeviceAttaches(device_id, profile.name, steps, times[i],
+                           counts[i], outcomes[i], transfer[i], processing[i])
+            for i, device_id in enumerate(device_ids)]
+
+
+def run_attaches(profile: "DeviceProfile", channel: SimChannel,
+                 network: NetworkConfig, starts, rng: RngStream
+                 ) -> DeviceAttaches:
+    """run_devices for one device, named as its profile says."""
+    name = profile.name if profile.device_id is None else profile.device_id
+    return run_devices(profile, channel, network, [starts], [rng], [name])[0]
 
 
 def run_attach(profile: "DeviceProfile", channel: SimChannel,

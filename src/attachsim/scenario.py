@@ -53,7 +53,7 @@ from .monitor import (
     ReauthPolicy,
     Verdict,
     classify,
-    schedule_reauth,
+    schedule_devices,
 )
 from .protocol import (
     ATTACH_SEQUENCE,
@@ -64,7 +64,7 @@ from .protocol import (
     NetworkConfig,
     Outcome,
     SignalingMessage,
-    run_attaches,
+    run_devices,
     step_named,
 )
 
@@ -272,24 +272,26 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     channels: dict[str, SimChannel] = {}
     devices: list[DeviceAttaches] = []
     per_model_count: dict[str, int] = {}
-    for entry, base_profile in zip(config.fleet, profiles):
-        name = base_profile.name
+    for entry, profile in zip(config.fleet, profiles):
+        name = profile.name
         if name not in channels:
             channels[name] = channel_for(
-                base_profile, config.channels.get(base_profile.channel_kind),
+                profile, config.channels.get(profile.channel_kind),
                 calibrate=config.calibrate)
         if entry.wrong_key:
-            base_profile = replace(base_profile, auth_misconfigured=True)
-        camps = attempt_camp(base_profile, env) is CampDecision.Proceed
-        for _ in range(entry.count):
-            ordinal = per_model_count.get(name, 0)
-            per_model_count[name] = ordinal + 1
-            profile = base_profile.for_device(f"{name}-{ordinal:03d}")
-            rng = root.substream(len(devices))
-            schedule = schedule_reauth(policy, (0.0, config.day_span_ms), rng)
-            devices.append(
-                run_attaches(profile, channels[name], network, schedule, rng)
-                if camps else DeviceAttaches.refused(profile, len(schedule)))
+            profile = replace(profile, auth_misconfigured=True)
+        first = per_model_count.get(name, 0)
+        per_model_count[name] = first + entry.count
+        ids = [f"{name}-{i:03d}" for i in range(first, first + entry.count)]
+        rngs = [root.substream(i)
+                for i in range(len(devices), len(devices) + entry.count)]
+        starts = schedule_devices(policy, (0.0, config.day_span_ms), rngs)
+        if attempt_camp(profile, env) is CampDecision.Proceed:
+            devices += run_devices(profile, channels[name], network, starts,
+                                   rngs, ids)
+        else:
+            devices += [DeviceAttaches.refused(profile, policy.count, i)
+                        for i in ids]
 
     out = Path(out_dir)  # made only once every device has run
     out.mkdir(parents=True, exist_ok=True)
@@ -314,17 +316,19 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
     """Every message, sorted by (time, device_id, step), written a chunk of
     lines at a time.  Each line is its time, rendered from its lattice
     ticks as `fmt_ms` would, plus a precomputed tail per (device, step),
-    as SignalingMessage.to_json_line writes it."""
+    as SignalingMessage.to_json_line writes it; a chunk is one bytes
+    format call."""
     width = len(AttachStep)
-    tails = [""] * (width * len(devices))  # by device rank * width + step
+    tails = np.full(width * len(devices), b"", object)  # rank * width + step
     times, keys = [], []
     ranked = sorted(devices, key=lambda dev: dev.device_id)
     for rank, dev in enumerate(ranked):
-        device_id = json.dumps(dev.device_id)
+        device_id = json.dumps(dev.device_id)  # ASCII: non-ASCII is escaped
         for step in dev.steps:
             tails[rank * width + step] = (
                 f', "layer": "NAS", "direction": "{step.direction}", '
-                f'"device_id": {device_id}, "message": "{step.name}"}}\n')
+                f'"device_id": {device_id}, "message": "{step.name}"}}\n'
+            ).encode()
         sent = np.arange(len(dev.steps)) < dev.counts[:, None]
         times.append(dev.times[sent])
         keys.append(np.broadcast_to(rank * width + np.array(dev.steps),
@@ -336,17 +340,17 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
     # to different devices, and a stable sort leaves them in rank order:
     # the (time, key) order
     order = np.argsort(time, kind="stable")
-    decimals = DECIMALS
-    with path.open("w") as f:
+    decimals = np.array([d.encode() for d in DECIMALS], dtype=object)
+    with path.open("wb") as f:
         for lo in range(0, order.size, _LOG_CHUNK):
             chunk = order[lo:lo + _LOG_CHUNK]
             # exact ticks: every time is below TIME_LIMIT_MS
             ticks = (time[chunk] * 1024.0).astype(np.int64)
-            f.write("".join([
-                f'{{"time": {whole}{decimals[part]}{tails[j]}'
-                for whole, part, j in zip((ticks >> 10).tolist(),
-                                          (ticks & 1023).tolist(),
-                                          key[chunk].tolist())]))
+            args = np.empty((chunk.size, 3), dtype=object)
+            args[:, 0] = ticks >> 10  # as Python ints
+            args[:, 1] = decimals[ticks & 1023]
+            args[:, 2] = tails[key[chunk]]
+            f.write(b'{"time": %d%s%s' * chunk.size % tuple(args.ravel()))
 
 
 def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:

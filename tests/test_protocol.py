@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,8 +23,21 @@ from attachsim import (
     step_named,
     validate_sequence,
 )
-from attachsim.core import TIME_QUANTUM_MS
-from attachsim.protocol import OPTIONAL_STEPS, OUTCOMES, _STEP_FLOOR_Q
+from attachsim import aka, channel_for
+from attachsim.channel import auth_channel_draws
+from attachsim.core import TIME_LIMIT_MS, TIME_QUANTUM_MS
+from attachsim.monitor import ReauthPolicy, schedule_devices, schedule_reauth
+from attachsim.protocol import (
+    _COMPLETED,
+    _REJECT,
+    _TIMEOUT,
+    OPTIONAL_STEPS,
+    OUTCOMES,
+    _STEP_FLOOR_Q,
+    DeviceAttaches,
+    _lattice,
+    run_devices,
+)
 
 EXPECTED_SEQUENCE = [
     ("AttachRequest", "Uplink"),
@@ -334,3 +348,205 @@ def test_run_attaches_rejects_channel_kind_mismatch(profiles, channels):
     with pytest.raises(ConfigError):
         run_attaches(profiles["SMBHyb_rem"], channels["FairPhone5G"],
                      NetworkConfig(), [0.0], RngStream(1))
+
+
+def _reference_run_attaches(profile, channel, network, starts, rng):
+    """One device's attaches the way the kernel ran them one device at a
+    time, with a Python loop for the overlap serialisation: the oracle of
+    the batch kernel."""
+    gen = rng.gen
+    steps = profile.enabled_steps
+    n, k = len(starts), len(steps)
+    request = steps.index(AttachStep.AuthenticationRequest)
+    auth = steps.index(AttachStep.AuthenticationResponse)
+    alg = profile.auth_alg
+    moments = np.array([profile.step_latency[step] for step in steps])
+    raw = np.maximum(moments[:, 0] + moments[:, 1]
+                     * gen.standard_normal((n, k)), 0.1)
+    cost = np.maximum(alg.latency_mean_ms + alg.latency_std_ms
+                      * gen.standard_normal(n), 0.0)
+    over_air = (0.0 if network.transmission is None
+                else network.transmission.draw(gen, n))
+    passed = aka.authenticate(profile.subscriber_key, profile.sim_side_key(),
+                              gen.bytes(aka.KEY_LEN * n), alg)
+    transfer = np.full(n, np.nan)
+    processing = np.full(n, np.nan)
+    if channel.is_remote:
+        transfer[passed], processing[passed] = auth_channel_draws(
+            channel, gen, int(np.count_nonzero(passed)))
+        raw[passed, auth] = transfer[passed] + processing[passed]
+    raw[:, auth] += cost
+    raw[:, auth] += over_air
+    latency = np.maximum(_lattice(raw), _STEP_FLOOR_Q)
+    latency[:, 0] = 0.0
+    timed_out = passed & (latency[:, auth] > network.auth_timer_ms)
+    counts = np.where(passed, np.where(timed_out, auth + 1, k), request + 1)
+    outcomes = np.where(passed, np.where(timed_out, _TIMEOUT, _COMPLETED),
+                        _REJECT).astype(np.int8)
+    offsets = np.cumsum(latency, axis=1)
+    begin = _lattice(np.asarray(starts, dtype=float)).tolist()
+    last = -math.inf
+    for i, span in enumerate(offsets[np.arange(n), counts - 1].tolist()):
+        if begin[i] <= last:
+            begin[i] = last + TIME_QUANTUM_MS
+        last = begin[i] + span
+    if not last < TIME_LIMIT_MS:
+        raise ConfigError("timestamp limit")
+    return DeviceAttaches(profile.device_id or profile.name, profile.name,
+                          steps, np.asarray(begin)[:, None] + offsets, counts,
+                          outcomes, transfer, processing)
+
+
+def _reference_schedule(policy, day, rng):
+    """schedule_reauth as a loop over the triggers: the oracle of its
+    running-maximum form."""
+    start, end = float(day[0]), float(day[1])
+    free = end - start - (policy.count - 1) * policy.min_spacing_ms
+    offsets = np.sort(rng.gen.uniform(0.0, free, policy.count)).tolist()
+    times = []
+    for i, off in enumerate(offsets):
+        t = round((start + off + i * policy.min_spacing_ms) * 1024.0) / 1024.0
+        if times and t <= times[-1]:
+            t = times[-1] + TIME_QUANTUM_MS
+        times.append(t)
+    return times
+
+
+_ARRAYS = ("times", "counts", "outcomes", "transfer_ms", "processing_ms")
+
+
+def _assert_same_attaches(got, want):
+    assert (got.device_id, got.model, got.steps) == \
+        (want.device_id, want.model, want.steps)
+    for name in _ARRAYS:
+        # same shape and dtype, NaN in the same places, all else equal
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name, strict=True)
+
+
+def _batch_equals_singles(profile, channel, network, policy, day, devices=5,
+                          seed=11):
+    """run_devices on `devices` devices equals as many one-device calls,
+    and the reference kernel, on the same substreams; returns the batch."""
+    ids = [f"{profile.name}-{i:03d}" for i in range(devices)]
+    rngs = [RngStream(seed).substream(i) for i in range(devices)]
+    batch = run_devices(profile, channel, network,
+                        schedule_devices(policy, day, rngs), rngs, ids)
+    for i, dev in enumerate(batch):
+        single = replace(profile, device_id=ids[i])
+        rng = RngStream(seed).substream(i)
+        starts = schedule_reauth(policy, day, rng)
+        _assert_same_attaches(dev, run_attaches(single, channel, network,
+                                                starts, rng))
+        rng = RngStream(seed).substream(i)
+        starts = _reference_schedule(policy, day, rng)
+        _assert_same_attaches(dev, _reference_run_attaches(
+            single, channel, network, starts, rng))
+    return batch
+
+
+_DAY = (0.0, 86_400_000.0)
+_POLICY = ReauthPolicy(20, 10_000.0)
+
+
+def test_batch_equals_singles_coupled(profiles, channels):
+    network = NetworkConfig(transmission=TransmissionModel())
+    batch = _batch_equals_singles(profiles["FairPhone5G"],
+                                  channels["FairPhone5G"], network, _POLICY,
+                                  _DAY)
+    assert all(np.isnan(dev.transfer_ms).all() for dev in batch)
+
+
+@pytest.mark.parametrize("name, kind, overrides, timer_ms", [
+    ("SMBHyb_rem", "remote_tcp", {}, 2200.0),
+    ("SMBPor_rem", "remote_udp", {"loss_prob": 0.05}, 1900.0),
+    # each relay on the other transport, uncalibrated: SMBPor_rem's
+    # target is below a TCP relay's transfers alone
+    ("SMBPor_rem", "remote_tcp", {}, 5000.0),
+    ("SMBHyb_rem", "remote_udp", {"loss_prob": 0.05}, 4000.0),
+])
+def test_batch_equals_singles_relay(profiles, name, kind, overrides,
+                                    timer_ms):
+    profile = replace(profiles[name], channel_kind=kind)
+    channel = channel_for(profile, overrides,
+                          calibrate=kind == profiles[name].channel_kind)
+    assert channel.kind == kind
+    # the timer cuts some relayed auths short
+    network = NetworkConfig(auth_timer_ms=timer_ms,
+                            transmission=TransmissionModel())
+    batch = _batch_equals_singles(profile, channel, network, _POLICY, _DAY)
+    codes = set(np.concatenate([dev.outcomes for dev in batch]).tolist())
+    assert codes == {_COMPLETED, _TIMEOUT}
+    assert not any(np.isnan(dev.transfer_ms).any() for dev in batch)
+
+
+def test_batch_equals_singles_wrong_key(profiles, channels):
+    profile = replace(profiles["SMBHyb_rem"], auth_misconfigured=True)
+    batch = _batch_equals_singles(profile, channels["SMBHyb_rem"],
+                                  NetworkConfig(), _POLICY, _DAY)
+    for dev in batch:
+        assert (dev.outcomes == _REJECT).all()
+        assert np.isnan(dev.transfer_ms).all()
+        assert np.isnan(dev.processing_ms).all()
+
+
+def test_batch_equals_singles_serialised_overlaps():
+    # attaches of about 100 ms, 30 of them triggered within 200 ms
+    profile = _flat_profile(10.0, 2.0, name="Inline")
+    batch = _batch_equals_singles(profile, coupled_serial(), NetworkConfig(),
+                                  ReauthPolicy(30, 0.0), (0.0, 200.0))
+    for dev in batch:
+        begins, ends = dev.times[:, 0], dev.times[:, -1]
+        assert (begins[1:] == ends[:-1] + TIME_QUANTUM_MS).sum() > 20
+
+
+def test_run_devices_names_first_device_past_the_limit():
+    # a 2**43 - 40e6 ms step: devices whose attach starts after about
+    # 40e6 ms cross the limit, the others do not
+    slow = dict(_flat_profile(1.0, 0.0).step_latency)
+    slow[AttachStep.AttachAccept] = (TIME_LIMIT_MS - 40e6, 0.0)
+    profile = _flat_profile(1.0, 0.0, step_latency=slow, name="Slow")
+    policy, day = ReauthPolicy(1), (0.0, 80e6)
+    rngs = [RngStream(5).substream(i) for i in range(8)]
+    starts = schedule_devices(policy, day, rngs)
+    crossing = [i for i, row in enumerate(starts)
+                if row[0] + TIME_LIMIT_MS - 40e6 >= TIME_LIMIT_MS - 1000.0]
+    assert crossing and crossing[0] > 0 and len(crossing) < 8
+    ids = [f"Slow-{i:03d}" for i in range(8)]
+    with pytest.raises(ConfigError,
+                       match=f"^Slow-{crossing[0]:03d}: .* timestamp limit"):
+        run_devices(profile, coupled_serial(), NetworkConfig(), starts,
+                    [RngStream(5).substream(i) for i in range(8)], ids)
+    # the devices before it run
+    run_devices(profile, coupled_serial(), NetworkConfig(),
+                starts[:crossing[0]], rngs[:crossing[0]], ids[:crossing[0]])
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 200),
+       start=st.sampled_from([0.0, 0.3, 17.0, 86_400_000.0, 2.0**42]),
+       span=st.sampled_from([1e-3, 0.05, 1.0, 7.5, 1000.0, 86_400_000.0]),
+       spacing=st.floats(0.0, 1.0))
+def test_schedule_reauth_matches_loop(seed, count, start, span, spacing):
+    # spacing is a share of the largest spacing that fits; small ranges
+    # put many triggers on one lattice point
+    spacing = 0.0 if count == 1 else spacing * span / count
+    policy = ReauthPolicy(count, spacing)
+    day = (start, start + span)
+    times = schedule_reauth(policy, day, RngStream(seed))
+    assert times == _reference_schedule(policy, day, RngStream(seed))
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def test_schedule_reauth_collisions_match_loop():
+    # 200 triggers in 1 ms (1,024 lattice points) collide now and then; in
+    # 0.1 ms (103 points) most of them are moved past the range
+    policy = ReauthPolicy(200, 0.0)
+    for day in ((5.0, 6.0), (5.0, 5.1)):
+        for seed in range(5):
+            rngs = [RngStream(seed).substream(i) for i in range(3)]
+            rows = schedule_devices(policy, day, rngs)
+            for i, row in enumerate(rows):
+                want = _reference_schedule(policy, day,
+                                           RngStream(seed).substream(i))
+                assert row.tolist() == want
+    assert want[-1] >= 5.0 + 199 * TIME_QUANTUM_MS

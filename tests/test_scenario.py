@@ -22,14 +22,20 @@ from attachsim import (
     DetectPolicy,
     EmptyWindow,
     FleetEntry,
+    NetworkConfig,
     Outcome,
     ParseError,
+    ReauthPolicy,
+    RngStream,
     ScenarioConfig,
+    channel_for,
     emit_distribution,
     parse_config,
     parse_logs,
+    run_attaches,
     run_detection,
     run_scenario,
+    schedule_reauth,
 )
 from attachsim import scenario
 from attachsim.cli import main
@@ -38,6 +44,7 @@ from attachsim.core import (
     REPR_TICKS,
     SHORT_DECIMALS,
     SHORT_TICKS,
+    TIME_LIMIT_MS,
     DegenerateInput,
     MalformedRecord,
     fmt_ms,
@@ -682,6 +689,33 @@ def test_cli_timestamp_limit_makes_no_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_timestamp_limit_names_first_device_in_fleet_order(tmp_path):
+    # a step of 2**43 - 40e6 ms: a device crosses the limit when its one
+    # attach starts after about 40e6 ms, so some devices do and some not
+    slow = dict(_INLINE, name="Slow", steps=dict(
+        _INLINE["steps"], AttachAccept=[TIME_LIMIT_MS - 40e6, 0.0]))
+    raw = dict(MINIMAL, attaches_per_device=1, day_span_ms=80e6,
+               fleet=[{"profile": "FairPhone5G", "count": 2},
+                      {"profile": slow, "count": 8}])
+    cfg = parse_config(raw)
+    profile = cfg.fleet[1].profile
+    network = NetworkConfig(auth_timer_ms=cfg.auth_timer_ms,
+                            transmission=cfg.transmission)
+    crossing = []
+    for i in range(8):  # each device alone, on its fleet index's stream
+        rng = RngStream(cfg.seed).substream(2 + i)
+        starts = schedule_reauth(ReauthPolicy(1), (0.0, 80e6), rng)
+        try:
+            run_attaches(profile, channel_for(profile), network, starts, rng)
+        except ConfigError:
+            crossing.append(i)
+    assert crossing and crossing[0] > 0 and len(crossing) < 8
+    with pytest.raises(ConfigError, match=f"^Slow-{crossing[0]:03d}: a "
+                                          f"message at .* timestamp limit"):
+        run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_detect_degenerate_input_is_an_error(tmp_path, capsys):
     # constant auth latency on both sides: zero pooled error, different means
     runs = {}
@@ -1082,3 +1116,38 @@ def test_every_outcome_artifacts_match_pinned_digests(tmp_path):
     art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
     assert {name: _digest(art.out_dir / name)
             for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+
+
+# The README quick-start's configs.
+_QUICKSTART = {
+    "scenario.json": {"version": 1, "seed": 7, "attaches_per_device": 50,
+                      "fleet": [{"profile": "FairPhone5G", "count": 5},
+                                {"profile": "SMBHyb_rem", "count": 1}]},
+    "baseline.json": {"version": 1, "seed": 8, "attaches_per_device": 50,
+                      "fleet": [{"profile": "FairPhone5G", "count": 8}]},
+}
+
+
+def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys):
+    """The README quick-start, run through the CLI, writes the bytes that
+    tests/quickstart.sha256 pins (sha256sum format, paths relative to the
+    directory it runs in); CI checks an installed package against the same
+    file."""
+    for name, cfg in _QUICKSTART.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    run, baseline = tmp_path / "run", tmp_path / "baseline"
+    assert main(["simulate", "--config", str(tmp_path / "scenario.json"),
+                 "--out", str(run)]) == 0
+    assert main(["simulate", "--config", str(tmp_path / "baseline.json"),
+                 "--out", str(baseline)]) == 0
+    # the remote SIM is flagged
+    assert main(["detect", "--logs", str(run / "logs.jsonl"), "--baseline",
+                 str(baseline / "logs.jsonl"),
+                 "--report", str(run / "report.csv")]) == 2
+    assert main(["distribution", "--logs", str(run / "logs.jsonl"),
+                 "--step", "AuthenticationResponse",
+                 "--out", str(run / "auth_hist.csv"), "--bins", "40"]) == 0
+    pinned = dict(reversed(line.split("  ")) for line in (
+        Path(__file__).parent / "quickstart.sha256").read_text().splitlines())
+    assert len(pinned) == 9
+    assert {name: _digest(tmp_path / name) for name in pinned} == pinned
