@@ -298,9 +298,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     logs_path = out / "logs.jsonl"
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
-    _write_logs(logs_path, devices)
-    _write_records(records_path, devices)
-    _write_summary(summary_path, devices, list(per_model_count))
+    # the log in this process, records and summary in a forked child
+    _fork_join(lambda: _write_logs(logs_path, devices),
+               lambda: (_write_records(records_path, devices),
+                        _write_summary(summary_path, devices,
+                                       list(per_model_count))))
     return ScenarioArtifacts(out_dir=out, logs_path=logs_path,
                              records_path=records_path,
                              summary_path=summary_path, devices=tuple(devices))
@@ -862,8 +864,11 @@ def _fork_join(here, there):
     """`(here(), there())`, with `there` run in a forked child meanwhile.
 
     The child pickles its result or exception into a pipe and always leaves
-    through os._exit. It is killed and reaped before this returns or raises,
-    and an exception of `here` wins. Without os.fork both run inline.
+    through os._exit; an exception that would not unpickle is sent as a
+    RuntimeError naming its type and message. The child is killed and
+    reaped before this returns or raises, and an exception of `here` wins.
+    A child that ends without answering is a ChildProcessError. Without
+    os.fork both run inline.
     """
     if not hasattr(os, "fork"):
         return here(), there()
@@ -876,18 +881,31 @@ def _fork_join(here, there):
                 result = True, there()
             except BaseException as exc:
                 result = False, exc
+                try:  # the parent must be able to rebuild it
+                    pickle.loads(pickle.dumps(exc, -1))
+                except Exception:
+                    result = False, RuntimeError(
+                        f"{type(exc).__name__} in a forked child: {exc}")
             with open(write_fd, "wb") as pipe:
                 pickle.dump(result, pipe, -1)
         finally:
             os._exit(0)
     os.close(write_fd)
+    ok = None
     try:
         with open(read_fd, "rb") as pipe:
             mine = here()
-            ok, theirs = pickle.load(pipe)
+            try:
+                ok, theirs = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the child ended before it answered
     finally:  # a child that has answered has nothing left to do
         os.kill(pid, 9)  # SIGKILL; the signal module takes 1 ms to import
-        os.waitpid(pid, 0)
+        status = os.waitpid(pid, 0)[1]
+    if ok is None:
+        raise ChildProcessError(
+            f"a forked child ended without answering: wait status {status} "
+            f"(exit code {os.waitstatus_to_exitcode(status)})")
     if not ok:
         raise theirs
     return mine, theirs

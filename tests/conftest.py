@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +22,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    `simulate` and `detect` each fork one per call."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("a child process is left running" if pid == 0 else
+                f"child {pid} was left unreaped (wait status {status})")
 
 
 @pytest.fixture(scope="session")

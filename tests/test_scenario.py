@@ -381,15 +381,9 @@ def _corrupt(path, line):
     return out
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_detection_inline_matches_forked(tmp_path, monkeypatch):
     logs, base = _detect_pair(tmp_path)
     run_detection(logs, base, DetectPolicy(), tmp_path / "forked.csv")
-    _assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     run_detection(logs, base, DetectPolicy(), tmp_path / "inline.csv")
     for suffix in (".csv", ".json"):
@@ -409,7 +403,6 @@ def test_detection_bad_baseline_raises_its_parse_error(tmp_path, monkeypatch,
     assert type(err.value) is ParseError
     assert err.value.line == 7
     assert str(err.value).startswith("line 7: invalid JSON")
-    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("fork", [True, False])
@@ -422,7 +415,6 @@ def test_detection_bad_test_and_baseline_raise_the_test_error(
         run_detection(_corrupt(logs, 12), _corrupt(base, 3), DetectPolicy(),
                       tmp_path / "r.csv")
     assert err.value.line == 12
-    _assert_no_child_left()
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -434,7 +426,6 @@ def test_fork_join_kills_the_child_when_this_half_raises():
     with pytest.raises(KeyboardInterrupt):
         scenario._fork_join(interrupted, lambda: time.sleep(60))
     assert time.monotonic() - started < 30
-    _assert_no_child_left()
 
 
 def test_fork_join_returns_both_halves_and_child_exits():
@@ -443,7 +434,33 @@ def test_fork_join_returns_both_halves_and_child_exits():
     with pytest.raises(SystemExit) as err:  # a BaseException of the child
         scenario._fork_join(int, lambda: sys.exit(3))
     assert err.value.code == 3
-    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+def test_fork_join_child_that_never_answers_is_a_child_process_error():
+    with pytest.raises(ChildProcessError,
+                       match=r"wait status 768 \(exit code 3\)"):
+        scenario._fork_join(lambda: 1, lambda: os._exit(3))
+
+
+class _TwoArgError(Exception):
+    def __init__(self, what, where):  # unpickling calls it with one argument
+        super().__init__(f"{what} at {where}")
+
+
+def test_fork_join_sends_a_stand_in_for_an_error_that_does_not_unpickle():
+    class LocalError(Exception):  # a local class does not pickle at all
+        pass
+
+    for error, text in ((_TwoArgError("bad", 7), "_TwoArgError"
+                         " in a forked child: bad at 7"),
+                        (LocalError("odd"), "LocalError in a forked child: odd")):
+        def fail(error=error):
+            raise error
+
+        with pytest.raises(RuntimeError) as err:
+            scenario._fork_join(int, fail)
+        assert type(err.value) is RuntimeError and str(err.value) == text
 
 
 @pytest.mark.parametrize("error", [
@@ -1116,6 +1133,53 @@ def test_every_outcome_artifacts_match_pinned_digests(tmp_path):
     art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
     assert {name: _digest(art.out_dir / name)
             for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+
+
+def test_simulate_inline_matches_forked(tmp_path, monkeypatch):
+    forked = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    inline = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "inline")
+    for name in _EVERY_OUTCOME_SHA256:
+        assert (forked.out_dir / name).read_bytes() \
+            == (inline.out_dir / name).read_bytes()
+
+
+def _simulate_into(tmp_path, capsys, *blocked):
+    """Exit code and stderr of `simulate` into an output directory where
+    each of `blocked` is a directory, not a file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_EVERY_OUTCOME))
+    for name in blocked:
+        (tmp_path / "out" / name).mkdir(parents=True)
+    capsys.readouterr()
+    rc = main(["simulate", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("blocked", [("records.jsonl",),
+                                     ("logs.jsonl", "records.jsonl")])
+def test_cli_simulate_unwritable_output_is_an_error(tmp_path, capsys,
+                                                    monkeypatch, fork, blocked):
+    """One error line, naming the log when both writers fail."""
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    rc, err = _simulate_into(tmp_path, capsys, *blocked)
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert blocked[0] in err and not any(name in err for name in blocked[1:])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+def test_cli_simulate_child_that_dies_is_an_error(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(scenario, "_write_summary",
+                        lambda *args: os._exit(3))
+    rc, err = _simulate_into(tmp_path, capsys)
+    assert rc == 1
+    assert err == ("error: a forked child ended without answering: "
+                   "wait status 768 (exit code 3)\n")
 
 
 # The README quick-start's configs.
