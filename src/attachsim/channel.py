@@ -98,11 +98,25 @@ class RttDistribution:
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """`n` round trips in one generator call (none for a constant)."""
-        if self.kind == "constant":
-            return np.full(n, self.median_ms)
+        return self.values(self.sample(gen, n), n)
+
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray | None:
+        """The generator call of `draw`: `n` log-scale normals (lognormal)
+        or sample indices (empirical); None for a constant."""
         if self.kind == "lognormal":
-            return self.median_ms * np.exp(gen.normal(0.0, self.sigma, n))
-        return self.samples[gen.integers(0, len(self.samples), n)]
+            return gen.normal(0.0, self.sigma, n)
+        if self.kind == "empirical":
+            return gen.integers(0, len(self.samples), n)
+        return None
+
+    def values(self, sampled: np.ndarray | None, n: int) -> np.ndarray:
+        """The `n` round trips that `sample`'s result, or a concatenation
+        of its results, stands for."""
+        if self.kind == "lognormal":
+            return self.median_ms * np.exp(sampled)
+        if self.kind == "empirical":
+            return self.samples[sampled]
+        return np.full(n, self.median_ms)
 
     @property
     def mean_ms(self) -> float:
@@ -307,41 +321,6 @@ def build_channel(kind: str, **kwargs) -> SimChannel:
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
-def _transfer_ms(channel: SimChannel, gen: np.random.Generator, m: int,
-                 sessions: int, handshake: bool) -> np.ndarray:
-    """Elapsed times of `m` independent runs of `sessions` transfer
-    sessions, plus the connection setup when `handshake` is set, from one
-    generator call per kind of draw; row i of every draw is run i.
-
-    Coupled: one serial transfer per session.  Remote: each session is two
-    round-trip transfers, plus per-packet ack cost on the reliable
-    transport or loss-driven retransmission waits on the datagram one;
-    each handshake packet is half a round trip.
-    """
-    if channel.kind == COUPLED_SERIAL:
-        draws = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
-                           (m, sessions))
-        return np.maximum(draws, SERIAL_FLOOR_MS).sum(axis=1)
-    setup = 0.5 * channel.handshake_packets if handshake else 0.0
-    width = 2 * sessions + (setup > 0)
-    rtts = channel.rtt.draw(gen, m * width).reshape(m, width)
-    if setup:
-        elapsed = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
-    else:
-        elapsed = rtts.sum(axis=1)
-    packets = sessions * channel.packets_per_session
-    if channel.kind == REMOTE_TCP:
-        return elapsed + packets * channel.ack_cost_ms
-    if channel.loss_prob > 0.0 and packets:
-        # every packet is retried until delivered: lost attempts per packet
-        losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
-        top = int(losses.max(initial=0))
-        if top:
-            elapsed += channel.retransmit_timeout_ms * _backoff_prefix(
-                channel, top)[losses].sum(axis=1)
-    return elapsed
-
-
 def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
     """Total wait, in retransmit timeouts, after 0..top lost attempts: the
     a-th retry waits min(backoff_factor**a, backoff_cap) timeouts."""
@@ -352,17 +331,109 @@ def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
     return np.array(waits)
 
 
+def _phase_draws(channel: SimChannel, gen: np.random.Generator, m: int
+                 ) -> tuple:
+    """The generator calls of `m` authentication phases, in their order:
+    the transfers (serial ones on the coupled link, round trips on a
+    relay, the connection setup's first), the datagram attempts per
+    packet, the online penalty, then the (m, phases) processing normals.
+    A draw the channel does not make is None."""
+    if channel.kind == COUPLED_SERIAL:
+        transfers = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
+                               (m, channel.sessions_auth))
+    else:
+        transfers = channel.rtt.sample(gen, m * _rtt_width(channel))
+    packets = channel.sessions_auth * channel.packets_per_session
+    attempts = gen.geometric(1.0 - channel.loss_prob, (m, packets)) if (
+        channel.kind == REMOTE_UDP and channel.loss_prob > 0.0 and packets
+    ) else None
+    online = channel.online.draw(gen, m) if channel.online.enabled else None
+    normals = gen.standard_normal((m, len(channel.processing_phases)))
+    return transfers, attempts, online, normals
+
+
+def _rtt_width(channel: SimChannel) -> int:
+    """Round trips per authentication phase on a relay: two per session,
+    and one for the connection setup when it has any packets."""
+    return 2 * channel.sessions_auth + (channel.handshake_packets > 0)
+
+
+# Rows of draws whose sums run at once.  A larger stack costs more than it
+# saves: its arrays (over 128 KiB, glibc's default mmap threshold) are
+# memory the kernel maps and faults in afresh, where a small stack's are
+# heap blocks the next stack reuses.
+_STACK_ROWS = 400
+
+
+def auth_channel_batch(channel: SimChannel, gens, counts
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """auth_channel_draws for each of one or more generators and counts in
+    turn, concatenated.  Each generator makes its calls as
+    auth_channel_draws makes them; the sums run on the draws of as many
+    generators as fill _STACK_ROWS rows, stacked."""
+    totals, stack, rows = [], [], 0
+    for gen, m in zip(gens, counts):
+        stack.append(_phase_draws(channel, gen, m))
+        rows += m
+        if rows >= _STACK_ROWS:
+            totals.append(_phase_totals(channel, stack))
+            stack, rows = [], 0
+    if stack:
+        totals.append(_phase_totals(channel, stack))
+    if len(totals) == 1:
+        return totals[0]
+    transfer, processing = zip(*totals)
+    return np.concatenate(transfer), np.concatenate(processing)
+
+
+def _phase_totals(channel: SimChannel, stack: list[tuple]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer and processing totals of the phases whose _phase_draws are
+    `stack`, in turn; each row sums as it would alone.
+
+    Coupled: one serial transfer per session.  Remote: each session is
+    two round-trip transfers, plus per-packet ack cost on the reliable
+    transport or loss-driven retransmission waits on the datagram one;
+    each handshake packet is half a round trip.
+    """
+    transfers, attempts, online, normals = (
+        None if parts[0] is None else np.concatenate(parts)
+        for parts in zip(*stack))
+    m = len(normals)
+    if channel.kind == COUPLED_SERIAL:
+        transfer = np.maximum(transfers, SERIAL_FLOOR_MS).sum(axis=1)
+    else:
+        width = _rtt_width(channel)
+        rtts = channel.rtt.values(transfers, m * width).reshape(m, width)
+        setup = 0.5 * channel.handshake_packets
+        if setup:
+            transfer = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
+        else:
+            transfer = rtts.sum(axis=1)
+    if channel.kind == REMOTE_TCP:
+        transfer = transfer + (channel.sessions_auth
+                               * channel.packets_per_session
+                               * channel.ack_cost_ms)
+    if attempts is not None:
+        # every packet is retried until delivered: lost attempts per packet
+        losses = attempts - 1
+        top = int(losses.max(initial=0))
+        if top:
+            transfer += channel.retransmit_timeout_ms * _backoff_prefix(
+                channel, top)[losses].sum(axis=1)
+    if online is not None:
+        transfer += online
+    means, stds = channel._phase_moments
+    processing = np.maximum(means + stds * normals, PROCESSING_FLOOR_MS)
+    return transfer, processing.sum(axis=1)
+
+
 def auth_channel_draws(channel: SimChannel, gen: np.random.Generator, m: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Transfer and processing totals of `m` authentication phases, one
     generator call per kind of draw: the round trips, the datagram
     losses, the online penalty, then the (m, phases) processing matrix."""
-    transfer = _transfer_ms(channel, gen, m, channel.sessions_auth,
-                            handshake=True)
-    transfer += channel.online.draw(gen, m)
-    means, stds = channel._phase_moments
-    draws = means + stds * gen.standard_normal((m, len(means)))
-    return transfer, np.maximum(draws, PROCESSING_FLOOR_MS).sum(axis=1)
+    return auth_channel_batch(channel, [gen], [m])
 
 
 def auth_channel_elapsed(channel: SimChannel, rng: RngStream) -> ChannelBreakdown:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import aka
-from .channel import SimChannel, auth_channel_draws
+from .channel import SimChannel, auth_channel_batch
 from .core import (
     TIME_LIMIT_MS,
     TIME_QUANTUM_MS,
@@ -269,10 +269,9 @@ def run_devices(profile: "DeviceProfile", channel: SimChannel,
     auth_ms = raw[..., auth]
     transfer = np.full((d, n), np.nan)
     processing = transfer.copy()
-    if channel.is_remote:
-        for i, m in enumerate(passed.sum(axis=1).tolist()):
-            transfer[i, passed[i]], processing[i, passed[i]] = \
-                auth_channel_draws(channel, rngs[i].gen, m)
+    if channel.is_remote:  # row-major: device i's passed attaches in turn
+        transfer[passed], processing[passed] = auth_channel_batch(
+            channel, [rng.gen for rng in rngs], passed.sum(axis=1).tolist())
         np.copyto(auth_ms, transfer + processing, where=passed)
     auth_ms += np.maximum(alg.latency_mean_ms + alg.latency_std_ms * cost,
                           0.0)

@@ -298,11 +298,25 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     logs_path = out / "logs.jsonl"
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
-    # the log in this process, records and summary in a forked child
-    _fork_join(lambda: _write_logs(logs_path, devices),
-               lambda: (_write_records(records_path, devices),
-                        _write_summary(summary_path, devices,
-                                       list(per_model_count))))
+    chunks = -(-sum(dev.counts.size for dev in devices) // _RECORD_CHUNK)
+
+    def log_then_share(ask) -> list[np.ndarray]:
+        """The log, then the records chunks the child leaves, rendered."""
+        _write_logs(logs_path, devices)
+        first = ask(chunks)
+        return list(map(_record_renderer(devices), range(first, chunks))) \
+            if first < chunks else []
+
+    def records_and_summary(keep) -> None:
+        _write_records(records_path, devices, keep(chunks))
+        _write_summary(summary_path, devices, list(per_model_count))
+
+    # the log in this process, records and summary in a forked child; the
+    # child hands its last records chunks over once the log is written
+    tail, _ = _fork_join(log_then_share, records_and_summary, handoff=True)
+    if tail:
+        with records_path.open("ab") as f:
+            f.writelines(tail)
     return ScenarioArtifacts(out_dir=out, logs_path=logs_path,
                              records_path=records_path,
                              summary_path=summary_path, devices=tuple(devices))
@@ -355,9 +369,20 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
             f.write(b'{"time": %d%s%s' * chunk.size % tuple(args.ravel()))
 
 
-def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
-    """One JSON row per attach, devices sorted by id, as json.dumps writes
-    it: floats by repr, a missing value as null.
+def _write_records(path: Path, devices: list[DeviceAttaches], chunks
+                   ) -> None:
+    """Write the chunks of records.jsonl whose indices `chunks` yields, in
+    turn (see _record_renderer)."""
+    render = _record_renderer(devices)
+    with path.open("wb") as f:
+        f.writelines(map(render, chunks))
+
+
+def _record_renderer(devices: list[DeviceAttaches]):
+    """`render(i)`: the bytes of records.jsonl's chunk i, rows
+    [i * _RECORD_CHUNK, (i + 1) * _RECORD_CHUNK).  One JSON row per
+    attach, devices sorted by id, as json.dumps writes it: floats by repr,
+    a missing value as null.
 
     A chunk of rows, across devices, is rendered at once as a matrix of
     4-byte cells (see text_cells): one column range per piece of a row,
@@ -405,8 +430,8 @@ def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
     def number(value: float) -> str:
         return "null" if math.isnan(value) else repr(value)
 
-    def render(chunk: slice) -> np.ndarray:
-        """The bytes of a chunk of rows."""
+    def render(i: int) -> np.ndarray:
+        chunk = slice(i * _RECORD_CHUNK, (i + 1) * _RECORD_CHUNK)
         n = counts[chunk].size
         bounds = lattice_repr(span[chunk].ravel()).reshape(n, 2, -1)
         unsent = counts[chunk] == 0
@@ -437,9 +462,7 @@ def _write_records(path: Path, devices: list[DeviceAttaches]) -> None:
             axis=1).view(np.uint8)
         return matrix[matrix != 0]
 
-    with path.open("wb") as f:
-        f.writelines(render(slice(lo, lo + _RECORD_CHUNK))
-                     for lo in range(0, rows, _RECORD_CHUNK))
+    return render
 
 
 def _write_summary(path: Path, devices: list[DeviceAttaches],
@@ -860,7 +883,16 @@ class DetectionResult:
     json_path: Path
 
 
-def _fork_join(here, there):
+def _handoff_point(done: int, total: int, asked: bool) -> int | None:
+    """What a forked child that has done `done` of `total` shared units
+    answers before its next one: once asked, the first unit it leaves to
+    the parent, which takes the larger half of what is left, since the
+    child has more to do after the units (simulate's summary); None, to go
+    on, while unasked."""
+    return done + (total - done) // 2 if asked else None
+
+
+def _fork_join(here, there, handoff: bool = False):
     """`(here(), there())`, with `there` run in a forked child meanwhile.
 
     The child pickles its result or exception into a pipe and always leaves
@@ -869,24 +901,72 @@ def _fork_join(here, there):
     reaped before this returns or raises, and an exception of `here` wins.
     A child that ends without answering is a ChildProcessError. Without
     os.fork both run inline.
+
+    With `handoff`, the two share a run of units, split where the child
+    has got to: they run as `here(ask)` and `there(keep)`.  The child does
+    the units the iterator `keep(n)` yields, from 0 up.  `here` calls
+    `ask(n)` once, which asks the child for a share over a second pipe
+    and returns the first unit the child leaves, for `here` to do.  Before
+    each unit the child looks for the request without blocking and
+    answers with _handoff_point; a child asked after its last unit has
+    none to leave, and says so when its half returns.  Inline, `ask(n)`
+    is n and `keep` is range.
     """
     if not hasattr(os, "fork"):
+        if handoff:
+            return here(lambda n: n), there(range)
         return here(), there()
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    ask_read, ask_write = os.pipe() if handoff else (None, None)
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (read_fd, write_fd, ask_read, ask_write):
+            if fd is not None:
+                os.close(fd)
+        raise
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                result = True, there()
-            except BaseException as exc:
-                result = False, exc
-                try:  # the parent must be able to rebuild it
-                    pickle.loads(pickle.dumps(exc, -1))
-                except Exception:
-                    result = False, RuntimeError(
-                        f"{type(exc).__name__} in a forked child: {exc}")
             with open(write_fd, "wb") as pipe:
+                answered = False
+
+                def answer(first):
+                    nonlocal answered
+                    answered = True
+                    pickle.dump(first, pipe, -1)
+                    pipe.flush()
+
+                def asked():
+                    try:
+                        os.read(ask_read, 1)  # a request, or the parent gone
+                    except BlockingIOError:
+                        return False
+                    return True
+
+                def keep(n):
+                    for done in range(n):
+                        first = _handoff_point(done, n, asked())
+                        if first is not None:
+                            answer(first)
+                            yield from range(done, first)
+                            return
+                        yield done
+
+                if handoff:
+                    os.close(ask_write)
+                    os.set_blocking(ask_read, False)
+                try:
+                    result = True, there(keep) if handoff else there()
+                except BaseException as exc:
+                    result = False, exc
+                    try:  # the parent must be able to rebuild it
+                        pickle.loads(pickle.dumps(exc, -1))
+                    except Exception:
+                        result = False, RuntimeError(
+                            f"{type(exc).__name__} in a forked child: {exc}")
+                if handoff and not answered:
+                    answer(None)  # it leaves no unit
                 pickle.dump(result, pipe, -1)
         finally:
             os._exit(0)
@@ -894,7 +974,15 @@ def _fork_join(here, there):
     ok = None
     try:
         with open(read_fd, "rb") as pipe:
-            mine = here()
+            def ask(n):
+                os.write(ask_write, b"?")
+                try:
+                    first = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    return n  # the child ended first; the join says how
+                return n if first is None else first
+
+            mine = here(ask) if handoff else here()
             try:
                 ok, theirs = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
@@ -902,6 +990,9 @@ def _fork_join(here, there):
     finally:  # a child that has answered has nothing left to do
         os.kill(pid, 9)  # SIGKILL; the signal module takes 1 ms to import
         status = os.waitpid(pid, 0)[1]
+        if handoff:  # its read end kept open, a late request cannot fail
+            os.close(ask_read)
+            os.close(ask_write)
     if ok is None:
         raise ChildProcessError(
             f"a forked child ended without answering: wait status {status} "

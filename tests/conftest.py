@@ -39,6 +39,26 @@ def no_child_left():
                 f"child {pid} was left unreaped (wait status {status})")
 
 
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test that leaves open a file descriptor it did not find open:
+    `simulate` and `detect` each open pipes to their forked child."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        yield
+        return
+    before = set(os.listdir(fds))
+    yield
+    left = []
+    for fd in sorted(set(os.listdir(fds)) - before, key=int):
+        try:
+            left.append(f"{fd} -> {os.readlink(f'{fds}/{fd}')}")
+        except OSError:
+            pass  # the listing's own descriptor, closed since
+    if left:
+        pytest.fail(f"file descriptors left open: {', '.join(left)}")
+
+
 @pytest.fixture(scope="session")
 def profiles() -> dict[str, DeviceProfile]:
     return builtin_profiles()

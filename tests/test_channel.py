@@ -256,6 +256,52 @@ _BATCH_CHANNELS = (
 )
 
 
+def _reference_auth_channel_draws(channel, gen, m):
+    """auth_channel_draws as it ran before the sums were stacked: each
+    sum beside its draws, one generator at a time.  The oracle of
+    auth_channel_batch."""
+    sessions = channel.sessions_auth
+    if channel.kind == chan_mod.COUPLED_SERIAL:
+        draws = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
+                           (m, sessions))
+        transfer = np.maximum(draws, chan_mod.SERIAL_FLOOR_MS).sum(axis=1)
+    else:
+        setup = 0.5 * channel.handshake_packets
+        width = 2 * sessions + (setup > 0)
+        rtts = channel.rtt.draw(gen, m * width).reshape(m, width)
+        transfer = (setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1) if setup
+                    else rtts.sum(axis=1))
+        packets = sessions * channel.packets_per_session
+        if channel.kind == chan_mod.REMOTE_TCP:
+            transfer = transfer + packets * channel.ack_cost_ms
+        elif channel.loss_prob > 0.0 and packets:
+            losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
+            top = int(losses.max(initial=0))
+            if top:
+                transfer += channel.retransmit_timeout_ms * \
+                    chan_mod._backoff_prefix(channel, top)[losses].sum(axis=1)
+    transfer += channel.online.draw(gen, m)
+    means, stds = channel._phase_moments
+    draws = means + stds * gen.standard_normal((m, len(means)))
+    return transfer, np.maximum(draws, chan_mod.PROCESSING_FLOOR_MS).sum(axis=1)
+
+
+@pytest.mark.parametrize("channel", _BATCH_CHANNELS + (
+    remote_udp(rtt=RttDistribution.constant(30.0), loss_prob=0.9),))
+def test_auth_channel_batch_equals_one_generator_at_a_time(channel):
+    # the 450 rows fill more than one stack of sums; 0 draws nothing
+    counts = [5, 0, 7, 450, 1, 30]
+    got = chan_mod.auth_channel_batch(
+        channel, [RngStream(3).substream(i).gen for i in range(len(counts))],
+        counts)
+    want = [_reference_auth_channel_draws(channel, RngStream(3).substream(i).gen,
+                                          m) for i, m in enumerate(counts)]
+    for got_totals, want_totals in zip(got, zip(*want)):
+        np.testing.assert_array_equal(got_totals, np.concatenate(want_totals),
+                                      strict=True)
+    assert sum(counts) > chan_mod._STACK_ROWS
+
+
 def test_auth_channel_elapsed_is_one_row_batch():
     for channel in _BATCH_CHANNELS:
         for seed in range(5):

@@ -24,6 +24,7 @@ from attachsim import (
     validate_sequence,
 )
 from attachsim import aka, channel_for
+from attachsim import channel as chan_mod
 from attachsim.channel import auth_channel_draws
 from attachsim.core import TIME_LIMIT_MS, TIME_QUANTUM_MS
 from attachsim.monitor import ReauthPolicy, schedule_devices, schedule_reauth
@@ -464,13 +465,27 @@ def test_batch_equals_singles_coupled(profiles, channels):
     # target is below a TCP relay's transfers alone
     ("SMBPor_rem", "remote_tcp", {}, 5000.0),
     ("SMBHyb_rem", "remote_udp", {"loss_prob": 0.05}, 4000.0),
+    # at half the datagrams lost, the devices' longest retransmit runs,
+    # and so their backoff tables, differ
+    ("SMBHyb_rem", "remote_udp", {"loss_prob": 0.5}, 21000.0),
 ])
-def test_batch_equals_singles_relay(profiles, name, kind, overrides,
-                                    timer_ms):
+def test_batch_equals_singles_relay(profiles, monkeypatch, name, kind,
+                                    overrides, timer_ms):
     profile = replace(profiles[name], channel_kind=kind)
     channel = channel_for(profile, overrides,
                           calibrate=kind == profiles[name].channel_kind)
     assert channel.kind == kind
+    # the most lost attempts of one datagram, per device, as drawn
+    most_lost = []
+    phase_draws = chan_mod._phase_draws
+
+    def spied(channel, gen, m):
+        draws = phase_draws(channel, gen, m)
+        if draws[1] is not None:
+            most_lost.append(int(draws[1].max(initial=1)) - 1)
+        return draws
+
+    monkeypatch.setattr(chan_mod, "_phase_draws", spied)
     # the timer cuts some relayed auths short
     network = NetworkConfig(auth_timer_ms=timer_ms,
                             transmission=TransmissionModel())
@@ -478,6 +493,26 @@ def test_batch_equals_singles_relay(profiles, name, kind, overrides,
     codes = set(np.concatenate([dev.outcomes for dev in batch]).tolist())
     assert codes == {_COMPLETED, _TIMEOUT}
     assert not any(np.isnan(dev.transfer_ms).any() for dev in batch)
+    if overrides.get("loss_prob", 0.0) >= 0.5:
+        assert len(set(most_lost[:len(batch)])) > 1, most_lost
+
+
+def test_batch_equals_singles_relay_device_that_never_passes(
+        profiles, channels, monkeypatch):
+    # an AKA that fails three challenges in four: with three attaches
+    # each, some devices pass none, and draw no relay phase at all
+    authenticate = aka.authenticate
+
+    def mostly_failing(key, sim_key, rands, alg):
+        first_bytes = np.frombuffer(rands, np.uint8)[::aka.KEY_LEN]
+        return authenticate(key, sim_key, rands, alg) & (first_bytes < 64)
+
+    monkeypatch.setattr(aka, "authenticate", mostly_failing)
+    batch = _batch_equals_singles(profiles["SMBHyb_rem"],
+                                  channels["SMBHyb_rem"], NetworkConfig(),
+                                  ReauthPolicy(3, 10_000.0), _DAY)
+    passes = [int((dev.outcomes != _REJECT).sum()) for dev in batch]
+    assert 0 in passes and max(passes) > 0, passes
 
 
 def test_batch_equals_singles_wrong_key(profiles, channels):

@@ -1129,10 +1129,15 @@ _EVERY_OUTCOME_SHA256 = {
 }
 
 
-def test_every_outcome_artifacts_match_pinned_digests(tmp_path):
-    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
-    assert {name: _digest(art.out_dir / name)
-            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+def test_every_outcome_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    """Forked, then inline as where there is no os.fork: the two write
+    records.jsonl in different orders."""
+    for run in ("forked", "inline"):
+        if run == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / run)
+        assert {name: _digest(art.out_dir / name)
+                for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256, run
 
 
 def test_simulate_inline_matches_forked(tmp_path, monkeypatch):
@@ -1182,6 +1187,116 @@ def test_cli_simulate_child_that_dies_is_an_error(tmp_path, capsys,
                    "wait status 768 (exit code 3)\n")
 
 
+# _EVERY_OUTCOME's 84 records.jsonl rows in chunks of 8: 11 chunks, the
+# last one short
+_SMALL_CHUNK, _CHUNKS = 8, 11
+
+
+def _parent_share(monkeypatch) -> list[int]:
+    """The records chunks this process renders, in order; a forked child's
+    are rendered in the child, and never seen here."""
+    rendered = []
+    renderer = scenario._record_renderer
+
+    def spied(devices):
+        render = renderer(devices)
+
+        def counted(i):
+            rendered.append(i)
+            return render(i)
+
+        return counted
+
+    monkeypatch.setattr(scenario, "_record_renderer", spied)
+    return rendered
+
+
+def _answer_at(monkeypatch, first: int) -> None:
+    """Make the forked child answer `first`, unasked, once it has written
+    that many chunks (or, for every chunk, once its half returns)."""
+    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
+    monkeypatch.setattr(scenario, "_handoff_point",
+                        lambda done, total, asked: first if done == first
+                        else None)
+
+
+def test_handoff_point_leaves_the_larger_half_once_asked():
+    assert scenario._handoff_point(0, 10, False) is None
+    assert [scenario._handoff_point(done, 10, True) for done in range(10)] \
+        == [5, 5, 6, 6, 7, 7, 8, 8, 9, 9]
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_fork_join_handoff_splits_the_units(monkeypatch, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    for first in (0, 2, 5):
+        monkeypatch.setattr(scenario, "_handoff_point",
+                            lambda done, total, asked: first if done == first
+                            else None)
+        mine, theirs = scenario._fork_join(
+            lambda ask: ask(5), lambda keep: list(keep(5)), handoff=True)
+        if not hasattr(os, "fork"):  # inline: the child's half does all
+            assert (mine, theirs) == (5, [0, 1, 2, 3, 4])
+        else:
+            assert (mine, theirs) == (first, list(range(first)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+@pytest.mark.parametrize("first", [0, 1, _CHUNKS // 2, _CHUNKS - 1, _CHUNKS])
+def test_records_handoff_at_any_chunk_writes_the_same_bytes(
+        tmp_path, monkeypatch, first):
+    _answer_at(monkeypatch, first)
+    rendered = _parent_share(monkeypatch)
+    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
+    assert rendered == list(range(first, _CHUNKS))
+    assert {name: _digest(art.out_dir / name)
+            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+def test_records_handoff_asked_after_the_last_chunk(tmp_path, monkeypatch):
+    """A request that reaches the child once it has written every chunk
+    is answered with none left."""
+    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
+    out = tmp_path / "out"
+    write_logs = scenario._write_logs
+
+    def late_logs(path, devices):
+        write_logs(path, devices)
+        deadline = time.monotonic() + 30
+        # the child starts the summary after its last chunk
+        while not (out / "summary.csv").exists():
+            assert time.monotonic() < deadline, "the child never finished"
+            time.sleep(0.005)
+
+    monkeypatch.setattr(scenario, "_write_logs", late_logs)
+    rendered = _parent_share(monkeypatch)
+    art = run_scenario(parse_config(_EVERY_OUTCOME), out)
+    assert rendered == []
+    assert {name: _digest(art.out_dir / name)
+            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+def test_cli_simulate_child_that_dies_after_answering_is_an_error(
+        tmp_path, capsys, monkeypatch):
+    _answer_at(monkeypatch, 3)
+    whole = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "whole")
+    rendered = _parent_share(monkeypatch)
+    monkeypatch.setattr(scenario, "_write_summary",
+                        lambda *args: os._exit(3))
+    rc, err = _simulate_into(tmp_path, capsys)
+    assert rc == 1
+    assert err == ("error: a forked child ended without answering: "
+                   "wait status 768 (exit code 3)\n")
+    # the parent rendered its share but appended none of it
+    assert rendered == list(range(3, _CHUNKS))
+    rows = whole.records_path.read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() \
+        == b"".join(rows[:3 * _SMALL_CHUNK])
+
+
 # The README quick-start's configs.
 _QUICKSTART = {
     "scenario.json": {"version": 1, "seed": 7, "attaches_per_device": 50,
@@ -1192,26 +1307,32 @@ _QUICKSTART = {
 }
 
 
-def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys):
+def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys,
+                                                monkeypatch):
     """The README quick-start, run through the CLI, writes the bytes that
     tests/quickstart.sha256 pins (sha256sum format, paths relative to the
     directory it runs in); CI checks an installed package against the same
-    file."""
-    for name, cfg in _QUICKSTART.items():
-        (tmp_path / name).write_text(json.dumps(cfg))
-    run, baseline = tmp_path / "run", tmp_path / "baseline"
-    assert main(["simulate", "--config", str(tmp_path / "scenario.json"),
-                 "--out", str(run)]) == 0
-    assert main(["simulate", "--config", str(tmp_path / "baseline.json"),
-                 "--out", str(baseline)]) == 0
-    # the remote SIM is flagged
-    assert main(["detect", "--logs", str(run / "logs.jsonl"), "--baseline",
-                 str(baseline / "logs.jsonl"),
-                 "--report", str(run / "report.csv")]) == 2
-    assert main(["distribution", "--logs", str(run / "logs.jsonl"),
-                 "--step", "AuthenticationResponse",
-                 "--out", str(run / "auth_hist.csv"), "--bins", "40"]) == 0
+    file.  It runs forked, then inline as where there is no os.fork."""
     pinned = dict(reversed(line.split("  ")) for line in (
         Path(__file__).parent / "quickstart.sha256").read_text().splitlines())
     assert len(pinned) == 9
-    assert {name: _digest(tmp_path / name) for name in pinned} == pinned
+    for mode in ("forked", "inline"):
+        if mode == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        here = tmp_path / mode
+        here.mkdir()
+        for name, cfg in _QUICKSTART.items():
+            (here / name).write_text(json.dumps(cfg))
+        run, baseline = here / "run", here / "baseline"
+        assert main(["simulate", "--config", str(here / "scenario.json"),
+                     "--out", str(run)]) == 0
+        assert main(["simulate", "--config", str(here / "baseline.json"),
+                     "--out", str(baseline)]) == 0
+        # the remote SIM is flagged
+        assert main(["detect", "--logs", str(run / "logs.jsonl"), "--baseline",
+                     str(baseline / "logs.jsonl"),
+                     "--report", str(run / "report.csv")]) == 2
+        assert main(["distribution", "--logs", str(run / "logs.jsonl"),
+                     "--step", "AuthenticationResponse",
+                     "--out", str(run / "auth_hist.csv"), "--bins", "40"]) == 0
+        assert {name: _digest(here / name) for name in pinned} == pinned, mode
