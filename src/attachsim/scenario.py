@@ -16,7 +16,7 @@ import os
 import pickle
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby, repeat
 from pathlib import Path
 
@@ -269,10 +269,28 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     policy = ReauthPolicy(config.attaches_per_device, config.min_spacing_ms)
     root = RngStream(config.seed)
 
-    channels: dict[str, SimChannel] = {}
-    devices: list[DeviceAttaches] = []
+    ids: list[list[str]] = []  # per fleet entry
     per_model_count: dict[str, int] = {}
     for entry, profile in zip(config.fleet, profiles):
+        first = per_model_count.get(profile.name, 0)
+        per_model_count[profile.name] = first + entry.count
+        ids.append([f"{profile.name}-{i:03d}"
+                    for i in range(first, first + entry.count)])
+    # every device's arrays are laid out before any draw, and each fleet
+    # entry's are filled by whichever process runs the entry
+    at, arrays = _shared_arrays(
+        [(entry.count, policy.count, len(profile.enabled_steps))
+         for entry, profile in zip(config.fleet, profiles)])
+    devices = [DeviceAttaches(device_id, profile.name, profile.enabled_steps,
+                              **{name: array[i] for name, array in
+                                 entry_arrays.items()})
+               for profile, entry_ids, entry_arrays in zip(profiles, ids,
+                                                           arrays)
+               for i, device_id in enumerate(entry_ids)]
+    channels: dict[str, SimChannel] = {}
+
+    def run_entry(e: int) -> None:
+        entry, profile = config.fleet[e], profiles[e]
         name = profile.name
         if name not in channels:
             channels[name] = channel_for(
@@ -280,46 +298,88 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
                 calibrate=config.calibrate)
         if entry.wrong_key:
             profile = replace(profile, auth_misconfigured=True)
-        first = per_model_count.get(name, 0)
-        per_model_count[name] = first + entry.count
-        ids = [f"{name}-{i:03d}" for i in range(first, first + entry.count)]
-        rngs = [root.substream(i)
-                for i in range(len(devices), len(devices) + entry.count)]
+        first = sum(prior.count for prior in config.fleet[:e])
+        rngs = [root.substream(i) for i in range(first, first + entry.count)]
         starts = schedule_devices(policy, (0.0, config.day_span_ms), rngs)
         if attempt_camp(profile, env) is CampDecision.Proceed:
-            devices += run_devices(profile, channels[name], network, starts,
-                                   rngs, ids)
+            ran = run_devices(profile, channels[name], network, starts,
+                              rngs, ids[e])
         else:
-            devices += [DeviceAttaches.refused(profile, policy.count, i)
-                        for i in ids]
+            ran = [DeviceAttaches.refused(profile, policy.count, i)
+                   for i in ids[e]]
+        for field_name, out in arrays[e].items():
+            np.stack([getattr(dev, field_name) for dev in ran], out=out)
 
     out = Path(out_dir)  # made only once every device has run
-    out.mkdir(parents=True, exist_ok=True)
     logs_path = out / "logs.jsonl"
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
     chunks = -(-sum(dev.counts.size for dev in devices) // _RECORD_CHUNK)
+    at[0] = chunks  # the records chunk the child is on: none yet
 
     def log_then_share(ask) -> list[np.ndarray]:
         """The log, then the records chunks the child leaves, rendered."""
+        out.mkdir(parents=True, exist_ok=True)
         _write_logs(logs_path, devices)
+        # a child with two chunks or more to go leaves a share: prepare
+        # for it before asking, so that the split covers what is left
+        render = _record_renderer(devices) if chunks - at[0] >= 2 else None
         first = ask(chunks)
-        return list(map(_record_renderer(devices), range(first, chunks))) \
-            if first < chunks else []
+        if first < chunks and render is None:
+            render = _record_renderer(devices)
+        return [render(i) for i in range(first, chunks)]
 
     def records_and_summary(keep) -> None:
-        _write_records(records_path, devices, keep(chunks))
+        out.mkdir(parents=True, exist_ok=True)
+        _write_records(records_path, devices, keep(chunks), at)
         _write_summary(summary_path, devices, list(per_model_count))
 
-    # the log in this process, records and summary in a forked child; the
-    # child hands its last records chunks over once the log is written
-    tail, _ = _fork_join(log_then_share, records_and_summary, handoff=True)
+    # the two processes first share the fleet entries; then the log in
+    # this one, records and summary in the child, which hands its last
+    # records chunks over once the log is written
+    tail, _ = _fork_join(log_then_share, records_and_summary, handoff=True,
+                         units=[partial(run_entry, e)
+                                for e in range(len(config.fleet))])
     if tail:
         with records_path.open("ab") as f:
             f.writelines(tail)
     return ScenarioArtifacts(out_dir=out, logs_path=logs_path,
                              records_path=records_path,
                              summary_path=summary_path, devices=tuple(devices))
+
+
+# DeviceAttaches' arrays, with their dtypes, as _shared_arrays lays out
+# each fleet entry's: `times` is (devices, attaches, steps), the rest
+# (devices, attaches); the byte-wide one last, so each starts aligned
+_SHARED_FIELDS = (("times", "f8"), ("counts", "i8"), ("transfer_ms", "f8"),
+                  ("processing_ms", "f8"), ("outcomes", "i1"))
+
+
+def _shared_arrays(shapes: list[tuple[int, int, int]]
+                   ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    """A one-slot int64 array and, per fleet entry shape (devices,
+    attaches, steps), the entry's _SHARED_FIELDS arrays, all zero-filled
+    views of one anonymous shared mapping: what a forked child writes to
+    them its parent reads."""
+    import mmap  # only simulate maps memory; detect's import stays as is
+
+    layout, size = [], 8
+    for d, n, k in shapes:
+        fields = {}
+        for name, dtype in _SHARED_FIELDS:
+            shape = (d, n, k) if name == "times" else (d, n)
+            fields[name] = dtype, shape, size
+            size += -(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8
+        layout.append(fields)
+    buffer = mmap.mmap(-1, size)
+
+    def view(dtype, shape, offset) -> np.ndarray:
+        return np.frombuffer(buffer, dtype, math.prod(shape),
+                             offset).reshape(shape)
+
+    return view("i8", (1,), 0), [
+        {name: view(*spec) for name, spec in fields.items()}
+        for fields in layout]
 
 
 _LOG_CHUNK = 4096  # lines per write
@@ -333,24 +393,31 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
     lines at a time.  Each line is its time, rendered from its lattice
     ticks as `fmt_ms` would, plus a precomputed tail per (device, step),
     as SignalingMessage.to_json_line writes it; a chunk is one bytes
-    format call."""
-    width = len(AttachStep)
-    tails = np.full(width * len(devices), b"", object)  # rank * width + step
-    times, keys = [], []
+    format call.  Devices sorted by id are taken a run of devices with
+    the same steps at a time."""
     ranked = sorted(devices, key=lambda dev: dev.device_id)
-    for rank, dev in enumerate(ranked):
-        device_id = json.dumps(dev.device_id)  # ASCII: non-ASCII is escaped
-        for step in dev.steps:
-            tails[rank * width + step] = (
-                f', "layer": "NAS", "direction": "{step.direction}", '
-                f'"device_id": {device_id}, "message": "{step.name}"}}\n'
-            ).encode()
-        sent = np.arange(len(dev.steps)) < dev.counts[:, None]
-        times.append(dev.times[sent])
-        keys.append(np.broadcast_to(rank * width + np.array(dev.steps),
-                                    sent.shape)[sent])
-    time = np.concatenate(times)
-    key = np.concatenate(keys)
+    runs = [list(run) for _, run in groupby(ranked, key=lambda dev: dev.steps)]
+    sents = [np.arange(len(run[0].steps))
+             < np.stack([dev.counts for dev in run])[..., None] for run in runs]
+    time = np.empty(sum(np.count_nonzero(sent) for sent in sents))
+    key = np.empty(time.size, np.int64)
+    tails: list[bytes] = []  # by key: (device, step) in rank and step order
+    lo = 0
+    for run, sent in zip(runs, sents):
+        pieces = [(f', "layer": "NAS", "direction": "{step.direction}", '
+                   f'"device_id": '.encode(),
+                   f', "message": "{step.name}"}}\n'.encode())
+                  for step in run[0].steps]
+        hi = lo + np.count_nonzero(sent)
+        time[lo:hi] = np.stack([dev.times for dev in run])[sent]
+        codes = len(tails) + np.arange(len(run) * len(pieces))
+        key[lo:hi] = np.broadcast_to(codes.reshape(len(run), 1, -1),
+                                     sent.shape)[sent]
+        # ids are ASCII: json.dumps escapes the rest
+        tails += [head + json.dumps(dev.device_id).encode() + end
+                  for dev in run for head, end in pieces]
+        lo = hi
+    tails = np.array(tails, dtype=object)
     # A device's times strictly increase (steps take at least 0.1 ms and
     # an attach starts after the previous one ends), so equal times belong
     # to different devices, and a stable sort leaves them in rank order:
@@ -369,13 +436,15 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
             f.write(b'{"time": %d%s%s' * chunk.size % tuple(args.ravel()))
 
 
-def _write_records(path: Path, devices: list[DeviceAttaches], chunks
-                   ) -> None:
+def _write_records(path: Path, devices: list[DeviceAttaches], chunks,
+                   at: np.ndarray) -> None:
     """Write the chunks of records.jsonl whose indices `chunks` yields, in
-    turn (see _record_renderer)."""
+    turn (see _record_renderer), with at[0] the one being written."""
     render = _record_renderer(devices)
     with path.open("wb") as f:
-        f.writelines(map(render, chunks))
+        for i in chunks:
+            at[0] = i
+            f.write(render(i))
 
 
 def _record_renderer(devices: list[DeviceAttaches]):
@@ -892,7 +961,42 @@ def _handoff_point(done: int, total: int, asked: bool) -> int | None:
     return done + (total - done) // 2 if asked else None
 
 
-def _fork_join(here, there, handoff: bool = False):
+class _Claims:
+    """Units 0 to n - 1, each handed out once, in order, to whichever of
+    the processes sharing this object (forked after it was made) calls it
+    next; None once every unit is out.
+
+    The next unit is an 8-byte token in a pipe: a call takes it out and
+    puts its successor back, so the other process waits meanwhile.  The
+    pipe holds the token alone, whatever n is.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.fds = os.pipe()
+        os.write(self.fds[1], bytes(8))
+
+    def __call__(self) -> int | None:
+        unit = int.from_bytes(os.read(self.fds[0], 8), "little")
+        os.write(self.fds[1], min(unit + 1, self.n).to_bytes(8, "little"))
+        return unit if unit < self.n else None
+
+    def close(self) -> None:
+        for fd in self.fds:
+            os.close(fd)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc`, or where it would not unpickle in the parent a RuntimeError
+    naming its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc, -1))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__} in a forked child: {exc}")
+    return exc
+
+
+def _fork_join(here, there, handoff: bool = False, units=()):
     """`(here(), there())`, with `there` run in a forked child meanwhile.
 
     The child pickles its result or exception into a pipe and always leaves
@@ -902,104 +1006,153 @@ def _fork_join(here, there, handoff: bool = False):
     A child that ends without answering is a ChildProcessError. Without
     os.fork both run inline.
 
-    With `handoff`, the two share a run of units, split where the child
-    has got to: they run as `here(ask)` and `there(keep)`.  The child does
-    the units the iterator `keep(n)` yields, from 0 up.  `here` calls
-    `ask(n)` once, which asks the child for a share over a second pipe
-    and returns the first unit the child leaves, for `here` to do.  Before
-    each unit the child looks for the request without blocking and
-    answers with _handoff_point; a child asked after its last unit has
-    none to leave, and says so when its half returns.  Inline, `ask(n)`
-    is n and `keep` is range.
+    `units`, callables, run first, shared by the two processes: each
+    calls the next one not yet claimed (_Claims) until none is left or
+    its call raises.  At a barrier the child reports how its units ended.
+    Where a unit raised, the exception of the lowest one is raised and
+    neither half runs, as when the units run in order in one process;
+    otherwise the parent lets the child's half start.  A unit of this
+    process that raises what is not an Exception (an interrupt) is raised
+    at once.  Inline, the units run in order.
+
+    With `handoff`, the two halves share a run of units of their own,
+    split where the child has got to: they run as `here(ask)` and
+    `there(keep)`.  The child does the units the iterator `keep(n)`
+    yields, from 0 up.  `here` calls `ask(n)` once, which asks the child
+    for a share over a second pipe and returns the first unit the child
+    leaves, for `here` to do.  Before each unit the child looks for the
+    request without blocking and answers with _handoff_point; a child
+    asked after its last unit has none to leave, and says so when its
+    half returns.  Inline, `ask(n)` is n and `keep` is range.
     """
     if not hasattr(os, "fork"):
+        for unit in units:
+            unit()
         if handoff:
             return here(lambda n: n), there(range)
         return here(), there()
     read_fd, write_fd = os.pipe()
-    ask_read, ask_write = os.pipe() if handoff else (None, None)
+    # the parent's go after the units, and its request
+    ask_read, ask_write = os.pipe() if handoff or units else (None, None)
+    claim = _Claims(len(units)) if units else None
+
+    def run_units(caught):
+        """(index, exception) of the first unit this process claims that
+        raises one of `caught`; None once no unit is left."""
+        while (i := claim()) is not None:
+            try:
+                units[i]()
+            except caught as exc:
+                return i, exc
+        return None
+
     try:
         pid = os.fork()
     except OSError:
         for fd in (read_fd, write_fd, ask_read, ask_write):
             if fd is not None:
                 os.close(fd)
+        if claim:
+            claim.close()
         raise
     if pid == 0:
         try:
             os.close(read_fd)
+            if ask_write is not None:
+                os.close(ask_write)
             with open(write_fd, "wb") as pipe:
-                answered = False
-
-                def answer(first):
-                    nonlocal answered
-                    answered = True
-                    pickle.dump(first, pipe, -1)
-                    pipe.flush()
-
-                def asked():
-                    try:
-                        os.read(ask_read, 1)  # a request, or the parent gone
-                    except BlockingIOError:
-                        return False
-                    return True
-
-                def keep(n):
-                    for done in range(n):
-                        first = _handoff_point(done, n, asked())
-                        if first is not None:
-                            answer(first)
-                            yield from range(done, first)
-                            return
-                        yield done
-
-                if handoff:
-                    os.close(ask_write)
-                    os.set_blocking(ask_read, False)
-                try:
-                    result = True, there(keep) if handoff else there()
-                except BaseException as exc:
-                    result = False, exc
-                    try:  # the parent must be able to rebuild it
-                        pickle.loads(pickle.dumps(exc, -1))
-                    except Exception:
-                        result = False, RuntimeError(
-                            f"{type(exc).__name__} in a forked child: {exc}")
-                if handoff and not answered:
-                    answer(None)  # it leaves no unit
-                pickle.dump(result, pipe, -1)
+                _child(pipe, ask_read, there, handoff,
+                       run_units if units else None)
         finally:
             os._exit(0)
     os.close(write_fd)
-    ok = None
+    result = None
     try:
         with open(read_fd, "rb") as pipe:
+            def receive(default):
+                """The child's next message; `default` once it has ended."""
+                try:
+                    return pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    return default
+
             def ask(n):
                 os.write(ask_write, b"?")
-                try:
-                    first = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    return n  # the child ended first; the join says how
+                first = receive(None)  # None too if the child ended first
                 return n if first is None else first
 
-            mine = here(ask) if handoff else here()
-            try:
-                ok, theirs = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                pass  # the child ended before it answered
+            gone = object()  # the child ended first; the join says how
+            failed = [run_units(Exception), receive(gone)] if units else []
+            if gone not in failed:
+                failed = [f for f in failed if f is not None]
+                if failed:
+                    raise min(failed, key=lambda f: f[0])[1]
+                if units:
+                    os.write(ask_write, b"!")
+                mine = here(ask) if handoff else here()
+                result = receive(None)
     finally:  # a child that has answered has nothing left to do
         os.kill(pid, 9)  # SIGKILL; the signal module takes 1 ms to import
         status = os.waitpid(pid, 0)[1]
-        if handoff:  # its read end kept open, a late request cannot fail
+        if ask_read is not None:  # kept open, a late request cannot fail
             os.close(ask_read)
             os.close(ask_write)
-    if ok is None:
+        if claim:
+            claim.close()
+    if result is None:
         raise ChildProcessError(
             f"a forked child ended without answering: wait status {status} "
             f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, theirs = result
     if not ok:
         raise theirs
     return mine, theirs
+
+
+def _child(pipe, ask_read: int, there, handoff: bool, run_units) -> None:
+    """_fork_join's child: its units, if any, then its half, answering
+    the parent over `pipe` and reading it from `ask_read`."""
+    answered = False
+
+    def send(message) -> None:
+        pickle.dump(message, pipe, -1)
+        pipe.flush()
+
+    def answer(first):
+        nonlocal answered
+        answered = True
+        send(first)
+
+    def asked():
+        try:
+            os.read(ask_read, 1)  # a request, or the parent gone
+        except BlockingIOError:
+            return False
+        return True
+
+    def keep(n):
+        for done in range(n):
+            first = _handoff_point(done, n, asked())
+            if first is not None:
+                answer(first)
+                yield from range(done, first)
+                return
+            yield done
+
+    if run_units:
+        failed = run_units(BaseException)  # the child can only report it
+        send(failed and (failed[0], _portable(failed[1])))
+        if failed or not os.read(ask_read, 1):  # the go, or the parent gone
+            return
+    if handoff:
+        os.set_blocking(ask_read, False)
+    try:
+        result = True, there(keep) if handoff else there()
+    except BaseException as exc:
+        result = False, _portable(exc)
+    if handoff and not answered:
+        answer(None)  # it leaves no unit
+    pickle.dump(result, pipe, -1)
 
 
 def run_detection(logs_path: str | Path, baseline_path: str | Path,

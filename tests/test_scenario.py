@@ -706,29 +706,68 @@ def test_cli_timestamp_limit_makes_no_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_timestamp_limit_names_first_device_in_fleet_order(tmp_path):
-    # a step of 2**43 - 40e6 ms: a device crosses the limit when its one
-    # attach starts after about 40e6 ms, so some devices do and some not
-    slow = dict(_INLINE, name="Slow", steps=dict(
-        _INLINE["steps"], AttachAccept=[TIME_LIMIT_MS - 40e6, 0.0]))
-    raw = dict(MINIMAL, attaches_per_device=1, day_span_ms=80e6,
-               fleet=[{"profile": "FairPhone5G", "count": 2},
-                      {"profile": slow, "count": 8}])
-    cfg = parse_config(raw)
-    profile = cfg.fleet[1].profile
+# A step of 2**43 - 40e6 ms: a device crosses the timestamp limit when its
+# one attach starts after about 40e6 ms, so some devices do and some not.
+_SLOW = dict(_INLINE, name="Slow", steps=dict(
+    _INLINE["steps"], AttachAccept=[TIME_LIMIT_MS - 40e6, 0.0]))
+
+
+def _crossing(cfg, entry: int) -> list[int]:
+    """The devices of a fleet entry, by their place in it, whose messages
+    reach the timestamp limit: each run alone on its fleet index's
+    stream."""
+    profile = cfg.fleet[entry].profile
     network = NetworkConfig(auth_timer_ms=cfg.auth_timer_ms,
                             transmission=cfg.transmission)
+    first = sum(e.count for e in cfg.fleet[:entry])
     crossing = []
-    for i in range(8):  # each device alone, on its fleet index's stream
-        rng = RngStream(cfg.seed).substream(2 + i)
-        starts = schedule_reauth(ReauthPolicy(1), (0.0, 80e6), rng)
+    for i in range(cfg.fleet[entry].count):
+        rng = RngStream(cfg.seed).substream(first + i)
+        starts = schedule_reauth(ReauthPolicy(1), (0.0, cfg.day_span_ms), rng)
         try:
             run_attaches(profile, channel_for(profile), network, starts, rng)
         except ConfigError:
             crossing.append(i)
+    return crossing
+
+
+def test_timestamp_limit_names_first_device_in_fleet_order(tmp_path,
+                                                           monkeypatch):
+    raw = dict(MINIMAL, attaches_per_device=1, day_span_ms=80e6,
+               fleet=[{"profile": "FairPhone5G", "count": 2},
+                      {"profile": _SLOW, "count": 8}])
+    cfg = parse_config(raw)
+    crossing = _crossing(cfg, 1)
     assert crossing and crossing[0] > 0 and len(crossing) < 8
-    with pytest.raises(ConfigError, match=f"^Slow-{crossing[0]:03d}: a "
-                                          f"message at .* timestamp limit"):
+    for run in ("forked", "inline"):
+        if run == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        with pytest.raises(ConfigError, match=f"^Slow-{crossing[0]:03d}: a "
+                                              f"message at .* timestamp limit"):
+            run_scenario(cfg, tmp_path / run)
+        assert not (tmp_path / run).exists()
+
+
+@pytest.mark.parametrize("later_first", ["parent", "child", "inline"])
+def test_timestamp_limit_names_the_earlier_entry_run_later(
+        tmp_path, monkeypatch, later_first):
+    """Two entries cross the limit, and one process claims the later one
+    first, while the other still has the earlier one to run: the error
+    names the earlier entry's device, as when the entries run in order."""
+    raw = dict(MINIMAL, attaches_per_device=1, day_span_ms=80e6,
+               fleet=[{"profile": "FairPhone5G", "count": 2},
+                      {"profile": _SLOW, "count": 8},
+                      {"profile": _SLOW, "count": 8}])
+    cfg = parse_config(raw)
+    earlier, later = _crossing(cfg, 1), _crossing(cfg, 2)
+    assert earlier and later
+    if later_first == "inline":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif later_first == "parent":  # the child runs entries 0 and 1
+        _plan_claims(monkeypatch, lambda unit: unit < 2)
+    else:
+        _plan_claims(monkeypatch, lambda unit: unit == 2)
+    with pytest.raises(ConfigError, match=f"^Slow-{earlier[0]:03d}: "):
         run_scenario(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -1307,32 +1346,136 @@ _QUICKSTART = {
 }
 
 
-def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys,
-                                                monkeypatch):
-    """The README quick-start, run through the CLI, writes the bytes that
-    tests/quickstart.sha256 pins (sha256sum format, paths relative to the
-    directory it runs in); CI checks an installed package against the same
-    file.  It runs forked, then inline as where there is no os.fork."""
+def _quickstart_digests(here: Path) -> dict[str, str]:
+    """Run the README quick-start through the CLI in `here`; the sha256 of
+    each file it writes, by path relative to `here`."""
+    here.mkdir()
+    for name, cfg in _QUICKSTART.items():
+        (here / name).write_text(json.dumps(cfg))
+    run, baseline = here / "run", here / "baseline"
+    assert main(["simulate", "--config", str(here / "scenario.json"),
+                 "--out", str(run)]) == 0
+    assert main(["simulate", "--config", str(here / "baseline.json"),
+                 "--out", str(baseline)]) == 0
+    # the remote SIM is flagged
+    assert main(["detect", "--logs", str(run / "logs.jsonl"), "--baseline",
+                 str(baseline / "logs.jsonl"),
+                 "--report", str(run / "report.csv")]) == 2
+    assert main(["distribution", "--logs", str(run / "logs.jsonl"),
+                 "--step", "AuthenticationResponse",
+                 "--out", str(run / "auth_hist.csv"), "--bins", "40"]) == 0
+    return {str(path.relative_to(here)): _digest(path)
+            for path in here.rglob("*") if path.is_file()}
+
+
+def _pinned_quickstart() -> dict[str, str]:
+    """tests/quickstart.sha256 (sha256sum format, paths relative to the
+    directory the quick-start runs in); CI checks an installed package
+    against the same file."""
     pinned = dict(reversed(line.split("  ")) for line in (
         Path(__file__).parent / "quickstart.sha256").read_text().splitlines())
     assert len(pinned) == 9
+    return pinned
+
+
+def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys,
+                                                monkeypatch):
+    """The README quick-start, run through the CLI, writes the bytes that
+    tests/quickstart.sha256 pins.  It runs forked, then inline as where
+    there is no os.fork."""
+    pinned = _pinned_quickstart()
     for mode in ("forked", "inline"):
         if mode == "inline":
             monkeypatch.delattr(os, "fork", raising=False)
-        here = tmp_path / mode
-        here.mkdir()
-        for name, cfg in _QUICKSTART.items():
-            (here / name).write_text(json.dumps(cfg))
-        run, baseline = here / "run", here / "baseline"
-        assert main(["simulate", "--config", str(here / "scenario.json"),
-                     "--out", str(run)]) == 0
-        assert main(["simulate", "--config", str(here / "baseline.json"),
-                     "--out", str(baseline)]) == 0
-        # the remote SIM is flagged
-        assert main(["detect", "--logs", str(run / "logs.jsonl"), "--baseline",
-                     str(baseline / "logs.jsonl"),
-                     "--report", str(run / "report.csv")]) == 2
-        assert main(["distribution", "--logs", str(run / "logs.jsonl"),
-                     "--step", "AuthenticationResponse",
-                     "--out", str(run / "auth_hist.csv"), "--bins", "40"]) == 0
-        assert {name: _digest(here / name) for name in pinned} == pinned, mode
+        digests = _quickstart_digests(tmp_path / mode)
+        assert {name: digests[name] for name in pinned} == pinned, mode
+
+
+def _plan_claims(monkeypatch, child_takes) -> list[int]:
+    """Make the forked child of each _fork_join claim, in order, the units
+    `child_takes(unit)` picks, and its parent the others; the list of the
+    units the parent claims."""
+    parent_took = []
+
+    class Planned:
+        def __init__(self, n):
+            self.n, self.parent, self.left = n, os.getpid(), None
+
+        def __call__(self):
+            here = os.getpid() == self.parent
+            if self.left is None:  # the first claim in this process
+                self.left = iter([unit for unit in range(self.n)
+                                  if bool(child_takes(unit)) != here])
+            unit = next(self.left, None)
+            if here and unit is not None:
+                parent_took.append(unit)
+            return unit
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(scenario, "_Claims", Planned)
+    return parent_took
+
+
+_CHILD_TAKES = {"every-entry": lambda unit: True,
+                "no-entry": lambda unit: False,
+                "every-other-entry": lambda unit: unit % 2}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+@pytest.mark.parametrize("plan", _CHILD_TAKES)
+def test_simulate_bytes_do_not_depend_on_which_process_runs_an_entry(
+        tmp_path, monkeypatch, plan):
+    """Forked, with the child running the entries the plan gives it, and
+    then inline, where the entries run in fleet order."""
+    parent_took = _plan_claims(monkeypatch, _CHILD_TAKES[plan])
+    pinned = _pinned_quickstart()
+    for mode in ("forked", "inline"):
+        if mode == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / mode)
+        assert {name: _digest(art.out_dir / name)
+                for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+        digests = _quickstart_digests(tmp_path / f"{mode}-quickstart")
+        assert {name: digests[name] for name in pinned} == pinned, mode
+        if mode == "forked":  # _EVERY_OUTCOME's 5 entries, then 2 and 1
+            assert parent_took == [
+                unit for n in (5, 2, 1) for unit in range(n)
+                if not _CHILD_TAKES[plan](unit)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
+def test_cli_simulate_child_that_dies_in_its_entries_is_an_error(
+        tmp_path, capsys, monkeypatch):
+    _plan_claims(monkeypatch, lambda unit: True)  # only the child runs any
+    run_devices, calls = scenario.run_devices, []
+
+    def dying(*args):
+        calls.append(args)
+        if len(calls) == 2:  # in the middle of the child's entries
+            os._exit(3)
+        return run_devices(*args)
+
+    monkeypatch.setattr(scenario, "run_devices", dying)
+    rc, err = _simulate_into(tmp_path, capsys)
+    assert rc == 1
+    assert err == ("error: a forked child ended without answering: "
+                   "wait status 768 (exit code 3)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the units are shared")
+def test_claims_hand_out_every_unit_once_past_a_pipe_buffer():
+    """More units than a 64 KiB pipe holds as 4-byte numbers (16,384),
+    claimed by two processes at once."""
+    n = 20_000
+    claim = scenario._Claims(n)
+    try:
+        mine, theirs = scenario._fork_join(lambda: list(iter(claim, None)),
+                                           lambda: list(iter(claim, None)))
+        assert claim() is None
+    finally:
+        claim.close()
+    assert sorted(mine + theirs) == list(range(n))
+    assert mine == sorted(mine) and theirs == sorted(theirs)
