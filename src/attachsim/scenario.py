@@ -278,7 +278,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
                     for i in range(first, first + entry.count)])
     # every device's arrays are laid out before any draw, and each fleet
     # entry's are filled by whichever process runs the entry
-    at, arrays = _shared_arrays(
+    arrays = _shared_arrays(
         [(entry.count, policy.count, len(profile.enabled_steps))
          for entry, profile in zip(config.fleet, profiles)])
     devices = [DeviceAttaches(device_id, profile.name, profile.enabled_steps,
@@ -315,31 +315,42 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     records_path = out / "records.jsonl"
     summary_path = out / "summary.csv"
     chunks = -(-sum(dev.counts.size for dev in devices) // _RECORD_CHUNK)
-    at[0] = chunks  # the records chunk the child is on: none yet
+    # the writers' units in file order: the records chunks, the summary,
+    # the log; the child claims from the front, this process from the back
+    claim = _Claims(chunks + 2)
 
-    def log_then_share(ask) -> list[np.ndarray]:
-        """The log, then the records chunks the child leaves, rendered."""
+    def claimed(back: bool):
+        """The records chunks this process claims, in claim order; the
+        summary and the log, if it claims them, it writes on the way."""
+        while (unit := claim(back)) is not None:
+            if unit < chunks:
+                yield unit
+            elif unit == chunks:
+                _write_summary(summary_path, devices, list(per_model_count))
+            else:
+                _write_logs(logs_path, devices)
+
+    def from_front() -> None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_logs(logs_path, devices)
-        # a child with two chunks or more to go leaves a share: prepare
-        # for it before asking, so that the split covers what is left
-        render = _record_renderer(devices) if chunks - at[0] >= 2 else None
-        first = ask(chunks)
-        if first < chunks and render is None:
-            render = _record_renderer(devices)
-        return [render(i) for i in range(first, chunks)]
+        _write_records(records_path, devices, claimed(False))
 
-    def records_and_summary(keep) -> None:
+    def from_back() -> list[bytes]:
+        """The records chunks this process claims, rendered and held, in
+        file order; its first claims are the log and the summary."""
         out.mkdir(parents=True, exist_ok=True)
-        _write_records(records_path, devices, keep(chunks), at)
-        _write_summary(summary_path, devices, list(per_model_count))
+        held, render = [], None
+        for i in claimed(True):
+            render = render or _record_renderer(devices)
+            held.append(render(i))
+        return held[::-1]
 
-    # the two processes first share the fleet entries; then the log in
-    # this one, records and summary in the child, which hands its last
-    # records chunks over once the log is written
-    tail, _ = _fork_join(log_then_share, records_and_summary, handoff=True,
-                         units=[partial(run_entry, e)
-                                for e in range(len(config.fleet))])
+    # the two processes first share the fleet entries, then the writers
+    try:
+        tail, _ = _fork_join(from_back, from_front,
+                             units=[partial(run_entry, e)
+                                    for e in range(len(config.fleet))])
+    finally:
+        claim.close()
     if tail:
         with records_path.open("ab") as f:
             f.writelines(tail)
@@ -356,14 +367,13 @@ _SHARED_FIELDS = (("times", "f8"), ("counts", "i8"), ("transfer_ms", "f8"),
 
 
 def _shared_arrays(shapes: list[tuple[int, int, int]]
-                   ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """A one-slot int64 array and, per fleet entry shape (devices,
-    attaches, steps), the entry's _SHARED_FIELDS arrays, all zero-filled
-    views of one anonymous shared mapping: what a forked child writes to
-    them its parent reads."""
+                   ) -> list[dict[str, np.ndarray]]:
+    """Per fleet entry shape (devices, attaches, steps), the entry's
+    _SHARED_FIELDS arrays, all zero-filled views of one anonymous shared
+    mapping: what a forked child writes to them its parent reads."""
     import mmap  # only simulate maps memory; detect's import stays as is
 
-    layout, size = [], 8
+    layout, size = [], 0
     for d, n, k in shapes:
         fields = {}
         for name, dtype in _SHARED_FIELDS:
@@ -377,9 +387,8 @@ def _shared_arrays(shapes: list[tuple[int, int, int]]
         return np.frombuffer(buffer, dtype, math.prod(shape),
                              offset).reshape(shape)
 
-    return view("i8", (1,), 0), [
-        {name: view(*spec) for name, spec in fields.items()}
-        for fields in layout]
+    return [{name: view(*spec) for name, spec in fields.items()}
+            for fields in layout]
 
 
 _LOG_CHUNK = 4096  # lines per write
@@ -436,14 +445,13 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
             f.write(b'{"time": %d%s%s' * chunk.size % tuple(args.ravel()))
 
 
-def _write_records(path: Path, devices: list[DeviceAttaches], chunks,
-                   at: np.ndarray) -> None:
+def _write_records(path: Path, devices: list[DeviceAttaches],
+                   chunks) -> None:
     """Write the chunks of records.jsonl whose indices `chunks` yields, in
-    turn (see _record_renderer), with at[0] the one being written."""
+    turn (see _record_renderer), into `path`, truncated first."""
     render = _record_renderer(devices)
     with path.open("wb") as f:
         for i in chunks:
-            at[0] = i
             f.write(render(i))
 
 
@@ -952,34 +960,30 @@ class DetectionResult:
     json_path: Path
 
 
-def _handoff_point(done: int, total: int, asked: bool) -> int | None:
-    """What a forked child that has done `done` of `total` shared units
-    answers before its next one: once asked, the first unit it leaves to
-    the parent, which takes the larger half of what is left, since the
-    child has more to do after the units (simulate's summary); None, to go
-    on, while unasked."""
-    return done + (total - done) // 2 if asked else None
-
-
 class _Claims:
-    """Units 0 to n - 1, each handed out once, in order, to whichever of
-    the processes sharing this object (forked after it was made) calls it
-    next; None once every unit is out.
+    """Units 0 to n - 1, each handed out once to whichever of the
+    processes sharing this object (forked after it was made) calls it
+    next: from the front, in ascending order, or with `back` from the
+    back, in descending order; None once every unit is out.
 
-    The next unit is an 8-byte token in a pipe: a call takes it out and
-    puts its successor back, so the other process waits meanwhile.  The
-    pipe holds the token alone, whatever n is.
+    The units not yet out, [front, end), are a 16-byte token in a pipe,
+    end · 2**64 + front: a call takes it out and puts its successor back,
+    so the other process waits meanwhile.  The pipe holds the token
+    alone, whatever n is.
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.fds = os.pipe()
-        os.write(self.fds[1], bytes(8))
+        os.write(self.fds[1], (n << 64).to_bytes(16, "little"))
 
-    def __call__(self) -> int | None:
-        unit = int.from_bytes(os.read(self.fds[0], 8), "little")
-        os.write(self.fds[1], min(unit + 1, self.n).to_bytes(8, "little"))
-        return unit if unit < self.n else None
+    def __call__(self, back: bool = False) -> int | None:
+        token = int.from_bytes(os.read(self.fds[0], 16), "little")
+        end, front = divmod(token, 1 << 64)
+        unit = None if front == end else end - 1 if back else front
+        if unit is not None:
+            token += -(1 << 64) if back else 1
+        os.write(self.fds[1], token.to_bytes(16, "little"))
+        return unit
 
     def close(self) -> None:
         for fd in self.fds:
@@ -996,7 +1000,7 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
-def _fork_join(here, there, handoff: bool = False, units=()):
+def _fork_join(here, there, units=()):
     """`(here(), there())`, with `there` run in a forked child meanwhile.
 
     The child pickles its result or exception into a pipe and always leaves
@@ -1014,26 +1018,13 @@ def _fork_join(here, there, handoff: bool = False, units=()):
     otherwise the parent lets the child's half start.  A unit of this
     process that raises what is not an Exception (an interrupt) is raised
     at once.  Inline, the units run in order.
-
-    With `handoff`, the two halves share a run of units of their own,
-    split where the child has got to: they run as `here(ask)` and
-    `there(keep)`.  The child does the units the iterator `keep(n)`
-    yields, from 0 up.  `here` calls `ask(n)` once, which asks the child
-    for a share over a second pipe and returns the first unit the child
-    leaves, for `here` to do.  Before each unit the child looks for the
-    request without blocking and answers with _handoff_point; a child
-    asked after its last unit has none to leave, and says so when its
-    half returns.  Inline, `ask(n)` is n and `keep` is range.
     """
     if not hasattr(os, "fork"):
         for unit in units:
             unit()
-        if handoff:
-            return here(lambda n: n), there(range)
         return here(), there()
     read_fd, write_fd = os.pipe()
-    # the parent's go after the units, and its request
-    ask_read, ask_write = os.pipe() if handoff or units else (None, None)
+    go_read, go_write = os.pipe() if units else (None, None)  # the barrier
     claim = _Claims(len(units)) if units else None
 
     def run_units(caught):
@@ -1049,7 +1040,7 @@ def _fork_join(here, there, handoff: bool = False, units=()):
     try:
         pid = os.fork()
     except OSError:
-        for fd in (read_fd, write_fd, ask_read, ask_write):
+        for fd in (read_fd, write_fd, go_read, go_write):
             if fd is not None:
                 os.close(fd)
         if claim:
@@ -1058,11 +1049,10 @@ def _fork_join(here, there, handoff: bool = False, units=()):
     if pid == 0:
         try:
             os.close(read_fd)
-            if ask_write is not None:
-                os.close(ask_write)
+            if go_write is not None:
+                os.close(go_write)
             with open(write_fd, "wb") as pipe:
-                _child(pipe, ask_read, there, handoff,
-                       run_units if units else None)
+                _child(pipe, go_read, there, run_units if units else None)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -1076,11 +1066,6 @@ def _fork_join(here, there, handoff: bool = False, units=()):
                 except (EOFError, pickle.UnpicklingError):
                     return default
 
-            def ask(n):
-                os.write(ask_write, b"?")
-                first = receive(None)  # None too if the child ended first
-                return n if first is None else first
-
             gone = object()  # the child ended first; the join says how
             failed = [run_units(Exception), receive(gone)] if units else []
             if gone not in failed:
@@ -1088,15 +1073,15 @@ def _fork_join(here, there, handoff: bool = False, units=()):
                 if failed:
                     raise min(failed, key=lambda f: f[0])[1]
                 if units:
-                    os.write(ask_write, b"!")
-                mine = here(ask) if handoff else here()
+                    os.write(go_write, b"!")
+                mine = here()
                 result = receive(None)
     finally:  # a child that has answered has nothing left to do
         os.kill(pid, 9)  # SIGKILL; the signal module takes 1 ms to import
         status = os.waitpid(pid, 0)[1]
-        if ask_read is not None:  # kept open, a late request cannot fail
-            os.close(ask_read)
-            os.close(ask_write)
+        if go_read is not None:  # kept open, the go cannot fail
+            os.close(go_read)
+            os.close(go_write)
         if claim:
             claim.close()
     if result is None:
@@ -1109,49 +1094,19 @@ def _fork_join(here, there, handoff: bool = False, units=()):
     return mine, theirs
 
 
-def _child(pipe, ask_read: int, there, handoff: bool, run_units) -> None:
+def _child(pipe, go_read: int | None, there, run_units) -> None:
     """_fork_join's child: its units, if any, then its half, answering
-    the parent over `pipe` and reading it from `ask_read`."""
-    answered = False
-
-    def send(message) -> None:
-        pickle.dump(message, pipe, -1)
-        pipe.flush()
-
-    def answer(first):
-        nonlocal answered
-        answered = True
-        send(first)
-
-    def asked():
-        try:
-            os.read(ask_read, 1)  # a request, or the parent gone
-        except BlockingIOError:
-            return False
-        return True
-
-    def keep(n):
-        for done in range(n):
-            first = _handoff_point(done, n, asked())
-            if first is not None:
-                answer(first)
-                yield from range(done, first)
-                return
-            yield done
-
+    the parent over `pipe` and waiting at the barrier on `go_read`."""
     if run_units:
         failed = run_units(BaseException)  # the child can only report it
-        send(failed and (failed[0], _portable(failed[1])))
-        if failed or not os.read(ask_read, 1):  # the go, or the parent gone
+        pickle.dump(failed and (failed[0], _portable(failed[1])), pipe, -1)
+        pipe.flush()
+        if failed or not os.read(go_read, 1):  # the go, or the parent gone
             return
-    if handoff:
-        os.set_blocking(ask_read, False)
     try:
-        result = True, there(keep) if handoff else there()
+        result = True, there()
     except BaseException as exc:
         result = False, _portable(exc)
-    if handoff and not answered:
-        answer(None)  # it leaves no unit
     pickle.dump(result, pipe, -1)
 
 

@@ -9,6 +9,7 @@ import tempfile
 import time
 import types
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -1215,9 +1216,23 @@ def test_cli_simulate_unwritable_output_is_an_error(tmp_path, capsys,
     assert blocked[0] in err and not any(name in err for name in blocked[1:])
 
 
+def test_simulate_closes_its_pipes_when_fork_fails(tmp_path, monkeypatch):
+    """The writers' claims and _fork_join's pipes are closed, as the
+    no_descriptor_left fixture checks, and no output is made."""
+    def failing():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "fork", failing, raising=False)
+    with pytest.raises(OSError, match="no process left"):
+        run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
 def test_cli_simulate_child_that_dies_is_an_error(tmp_path, capsys,
                                                   monkeypatch):
+    # the child writes records and summary, so it is the one that dies
+    _plan_claims(monkeypatch, lambda unit: False)
     monkeypatch.setattr(scenario, "_write_summary",
                         lambda *args: os._exit(3))
     rc, err = _simulate_into(tmp_path, capsys)
@@ -1227,7 +1242,7 @@ def test_cli_simulate_child_that_dies_is_an_error(tmp_path, capsys,
 
 
 # _EVERY_OUTCOME's 84 records.jsonl rows in chunks of 8: 11 chunks, the
-# last one short
+# last one short; with the summary and the log, 13 writer units
 _SMALL_CHUNK, _CHUNKS = 8, 11
 
 
@@ -1250,87 +1265,74 @@ def _parent_share(monkeypatch) -> list[int]:
     return rendered
 
 
-def _answer_at(monkeypatch, first: int) -> None:
-    """Make the forked child answer `first`, unasked, once it has written
-    that many chunks (or, for every chunk, once its half returns)."""
-    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
-    monkeypatch.setattr(scenario, "_handoff_point",
-                        lambda done, total, asked: first if done == first
-                        else None)
-
-
-def test_handoff_point_leaves_the_larger_half_once_asked():
-    assert scenario._handoff_point(0, 10, False) is None
-    assert [scenario._handoff_point(done, 10, True) for done in range(10)] \
-        == [5, 5, 6, 6, 7, 7, 8, 8, 9, 9]
-
-
-@pytest.mark.parametrize("fork", [True, False])
-def test_fork_join_handoff_splits_the_units(monkeypatch, fork):
-    if not fork:
-        monkeypatch.delattr(os, "fork", raising=False)
-    for first in (0, 2, 5):
-        monkeypatch.setattr(scenario, "_handoff_point",
-                            lambda done, total, asked: first if done == first
-                            else None)
-        mine, theirs = scenario._fork_join(
-            lambda ask: ask(5), lambda keep: list(keep(5)), handoff=True)
-        if not hasattr(os, "fork"):  # inline: the child's half does all
-            assert (mine, theirs) == (5, [0, 1, 2, 3, 4])
-        else:
-            assert (mine, theirs) == (first, list(range(first)))
+# Where the front claims of n writer units meet the back claims, by that
+# point for _EVERY_OUTCOME's 13: none, one, half the records chunks, all
+# but one, all, then the summary too, then the log too
+_MEETS = {0: lambda n: 0, 1: lambda n: 1, 5: lambda n: (n - 2) // 2,
+          10: lambda n: n - 3, 11: lambda n: n - 2, 12: lambda n: n - 1,
+          13: lambda n: n}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
-@pytest.mark.parametrize("first", [0, 1, _CHUNKS // 2, _CHUNKS - 1, _CHUNKS])
+@pytest.mark.parametrize("first", sorted(_MEETS))
 def test_records_handoff_at_any_chunk_writes_the_same_bytes(
         tmp_path, monkeypatch, first):
-    _answer_at(monkeypatch, first)
+    """The child writes records.jsonl up to the meeting point; the parent
+    renders the rest from the back, holds it and appends it.  Every
+    meeting point gives the pinned bytes, forked and inline."""
+    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
+    _plan_claims(monkeypatch, lambda unit: unit % 2, _MEETS[first])
     rendered = _parent_share(monkeypatch)
-    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
-    assert rendered == list(range(first, _CHUNKS))
-    assert {name: _digest(art.out_dir / name)
-            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+    pinned = _pinned_quickstart()
+    for mode in ("forked", "inline"):
+        if mode == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / mode)
+        if mode == "forked":
+            assert rendered == list(range(_CHUNKS - 1, first - 1, -1))
+        assert {name: _digest(art.out_dir / name)
+                for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
+        digests = _quickstart_digests(tmp_path / f"{mode}-quickstart")
+        assert {name: digests[name] for name in pinned} == pinned, mode
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
-def test_records_handoff_asked_after_the_last_chunk(tmp_path, monkeypatch):
-    """A request that reaches the child once it has written every chunk
-    is answered with none left."""
-    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
+def test_rerun_where_the_parent_takes_every_records_chunk(tmp_path,
+                                                          monkeypatch):
+    """The child truncates records.jsonl before its first claim, though
+    it gets none: the parent's chunks are appended to no stale bytes."""
     out = tmp_path / "out"
-    write_logs = scenario._write_logs
-
-    def late_logs(path, devices):
-        write_logs(path, devices)
-        deadline = time.monotonic() + 30
-        # the child starts the summary after its last chunk
-        while not (out / "summary.csv").exists():
-            assert time.monotonic() < deadline, "the child never finished"
-            time.sleep(0.005)
-
-    monkeypatch.setattr(scenario, "_write_logs", late_logs)
+    run_scenario(parse_config(_EVERY_OUTCOME), out)
+    (out / "records.jsonl").write_bytes(b"stale\n" * 10_000)
+    _plan_claims(monkeypatch, lambda unit: True, _MEETS[0])
     rendered = _parent_share(monkeypatch)
     art = run_scenario(parse_config(_EVERY_OUTCOME), out)
-    assert rendered == []
+    assert rendered == [0]  # _EVERY_OUTCOME's one 1,024-row chunk
     assert {name: _digest(art.out_dir / name)
             for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child is forked")
-def test_cli_simulate_child_that_dies_after_answering_is_an_error(
+def test_cli_simulate_child_that_dies_after_its_records_is_an_error(
         tmp_path, capsys, monkeypatch):
-    _answer_at(monkeypatch, 3)
+    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
     whole = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "whole")
+    _plan_claims(monkeypatch, lambda unit: True, lambda n: 3)
     rendered = _parent_share(monkeypatch)
-    monkeypatch.setattr(scenario, "_write_summary",
-                        lambda *args: os._exit(3))
+    write_records, parent = scenario._write_records, os.getpid()
+
+    def dying(*args):
+        write_records(*args)
+        if os.getpid() != parent:
+            os._exit(3)
+
+    monkeypatch.setattr(scenario, "_write_records", dying)
     rc, err = _simulate_into(tmp_path, capsys)
     assert rc == 1
     assert err == ("error: a forked child ended without answering: "
                    "wait status 768 (exit code 3)\n")
     # the parent rendered its share but appended none of it
-    assert rendered == list(range(3, _CHUNKS))
+    assert rendered == list(range(_CHUNKS - 1, 2, -1))
     rows = whole.records_path.read_bytes().splitlines(keepends=True)
     assert (tmp_path / "out" / "records.jsonl").read_bytes() \
         == b"".join(rows[:3 * _SMALL_CHUNK])
@@ -1391,23 +1393,33 @@ def test_quickstart_outputs_match_pinned_digests(tmp_path, capsys,
         assert {name: digests[name] for name in pinned} == pinned, mode
 
 
-def _plan_claims(monkeypatch, child_takes) -> list[int]:
-    """Make the forked child of each _fork_join claim, in order, the units
-    `child_takes(unit)` picks, and its parent the others; the list of the
-    units the parent claims."""
+def _plan_claims(monkeypatch, child_takes, meet=lambda n: n - 1
+                 ) -> list[int]:
+    """Plan the claims of each simulate run, and return the list of the
+    fleet entries its parent claims.  Of the entries, the forked child
+    claims, in order, those `child_takes(unit)` picks, and its parent the
+    others.  Of the n writer units, the front claims get the first
+    `meet(n)` and the back claims the rest, from the back, forked or
+    inline; by default the log alone is the parent's."""
     parent_took = []
 
     class Planned:
         def __init__(self, n):
-            self.n, self.parent, self.left = n, os.getpid(), None
+            self.parent = os.getpid()
+            # run_scenario makes the writers' claims, _fork_join the entries'
+            self.entries = sys._getframe(1).f_code.co_name == "_fork_join"
+            if self.entries:  # both processes claim from the front
+                self.plans = [iter([unit for unit in range(n)
+                                    if bool(child_takes(unit)) != here])
+                              for here in (False, True)]
+            else:
+                self.plans = [iter(range(meet(n))),
+                              iter(range(n - 1, meet(n) - 1, -1))]
 
-        def __call__(self):
+        def __call__(self, back=False):
             here = os.getpid() == self.parent
-            if self.left is None:  # the first claim in this process
-                self.left = iter([unit for unit in range(self.n)
-                                  if bool(child_takes(unit)) != here])
-            unit = next(self.left, None)
-            if here and unit is not None:
+            unit = next(self.plans[here if self.entries else back], None)
+            if self.entries and here and unit is not None:
                 parent_took.append(unit)
             return unit
 
@@ -1479,3 +1491,23 @@ def test_claims_hand_out_every_unit_once_past_a_pipe_buffer():
         claim.close()
     assert sorted(mine + theirs) == list(range(n))
     assert mine == sorted(mine) and theirs == sorted(theirs)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_claims_from_both_ends_hand_out_every_unit_once(monkeypatch, fork):
+    """The child claims from the front while the parent claims from the
+    back, past a pipe buffer's worth of units; inline the parent's half
+    runs first and takes them all."""
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    n = 20_000
+    claim = scenario._Claims(n)
+    try:
+        mine, theirs = scenario._fork_join(
+            lambda: list(iter(partial(claim, back=True), None)),
+            lambda: list(iter(claim, None)))
+        assert claim() is None and claim(back=True) is None
+    finally:
+        claim.close()
+    assert theirs == list(range(len(theirs)))
+    assert mine == list(range(n - 1, len(theirs) - 1, -1))
