@@ -55,6 +55,12 @@ class RttDistribution:
                 raise ConfigError("empirical rtt needs at least one sample")
             if float(np.min(self.samples)) < 0:
                 raise ConfigError("empirical rtt samples must be non-negative")
+        try:
+            finite = math.isfinite(self.mean_ms)
+        except OverflowError:  # sigma ** 2, or its exp, past the float range
+            finite = False
+        if not finite:
+            raise ConfigError("rtt mean must be a finite number of ms")
 
     @classmethod
     def constant(cls, value_ms: float) -> "RttDistribution":

@@ -31,22 +31,21 @@ from attachsim import (
     SignalingMessage,
     classify,
     compute_step_latencies,
+    logformat,
     parse_config,
     parse_logs,
     run_detection,
     run_scenario,
-    scenario,
 )
 from attachsim.cli import main
-from attachsim.scenario import (
-    _OUTCOME_AFTER,
+from attachsim.logformat import (
+    OUTCOME_AFTER,
     _STEP_DIRECTIONS,
     _WRITER_LINE,
     _head_times,
     _read_line,
-    _step_latencies,
-    _write_detection_reports,
 )
+from attachsim.scenario import _step_latencies, _write_detection_reports
 
 AUTH = AttachStep.AuthenticationResponse
 
@@ -68,10 +67,10 @@ def _reference_attaches(path: str | Path
 
     def closed(device_id: str, record: list):
         steps, times, last_line = record
-        if steps[-1] not in _OUTCOME_AFTER:
+        if steps[-1] not in OUTCOME_AFTER:
             raise ParseError(f"record for {device_id} truncated at "
                              f"{steps[-1].name}", last_line)
-        return device_id, steps, times, _OUTCOME_AFTER[steps[-1]]
+        return device_id, steps, times, OUTCOME_AFTER[steps[-1]]
 
     match = _WRITER_LINE.match
     directions = _STEP_DIRECTIONS.get
@@ -336,7 +335,7 @@ def _reads_as_reference(data: bytes, block: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(data)
-        with mock.patch.object(scenario, "_BLOCK_BYTES", block):
+        with mock.patch.object(logformat, "_BLOCK_BYTES", block):
             for read, reference in _READERS:
                 expected = _read(reference, path)
                 assert _read(read, path) == expected
@@ -466,7 +465,7 @@ def test_long_line_fails_as_before(sample_log, ending):
     lines, _, _ = sample_log
     array = ("[" + ", ".join(lines * (4 * 2 ** 20 // len("".join(lines))))
              + "]").encode()
-    keys = f"line 1: expected exactly keys {sorted(scenario._LOG_KEYS)}"
+    keys = f"line 1: expected exactly keys {sorted(logformat._LOG_KEYS)}"
     assert _reads_as_reference(array + ending, 1024) == (keys, 1)
     after = _reads_as_reference(array + ending + _sample_bytes(lines), 1024)
     assert after == ((keys, 1) if ending else
@@ -479,11 +478,11 @@ def test_unpaired_pieces_skip_tail_lookups(sample_log):
     lookup a line, and the reference reader's error."""
     lines, _, _ = sample_log
     array = "[" + ", ".join((lines * 1000)[:1000]) + "]\n"
-    learn = scenario._LogReader._learn
-    with mock.patch.object(scenario._LogReader, "_learn", autospec=True,
+    learn = logformat._LogReader._learn
+    with mock.patch.object(logformat._LogReader, "_learn", autospec=True,
                            side_effect=learn) as spy:
         assert _reads_as_reference(array.encode(), 1 << 18) == (
-            f"line 1: expected exactly keys {sorted(scenario._LOG_KEYS)}", 1)
+            f"line 1: expected exactly keys {sorted(logformat._LOG_KEYS)}", 1)
     # the log is one line, read by each reader in _READERS
     assert 1 <= spy.call_count <= len(_READERS)
 

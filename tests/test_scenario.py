@@ -38,7 +38,7 @@ from attachsim import (
     run_scenario,
     schedule_reauth,
 )
-from attachsim import scenario
+from attachsim import forkjoin, scenario
 from attachsim.cli import main
 from attachsim.core import (
     DECIMALS,
@@ -351,6 +351,22 @@ def test_detection_reports(tmp_path):
             v["t_welch"] / (1.0 / v["n"] + 1.0 / 60) ** 0.5, rel=1e-9)
 
 
+def test_cli_detect_json_report_path_is_an_error(tmp_path, capsys):
+    """The JSON report goes beside the CSV one with the suffix .json, so a
+    --report ending in .json would be overwritten: an error before either
+    log is read, and no report is written."""
+    logs, base = _detect_pair(tmp_path)
+    for inputs in ((logs, base), (tmp_path / "none", tmp_path / "none")):
+        capsys.readouterr()
+        assert main(["detect", "--logs", str(inputs[0]),
+                     "--baseline", str(inputs[1]),
+                     "--report", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: report ") and err.count("\n") == 1
+        assert "r.json" in err
+        assert not list(tmp_path.glob("r.*"))
+
+
 def test_detection_skips_thin_devices(tmp_path):
     base = run_scenario(
         ScenarioConfig(seed=23, fleet=(FleetEntry("FairPhone5G", 2),),
@@ -425,15 +441,15 @@ def test_fork_join_kills_the_child_when_this_half_raises():
 
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        scenario._fork_join(interrupted, lambda: time.sleep(60))
+        forkjoin.fork_join(interrupted, lambda: time.sleep(60))
     assert time.monotonic() - started < 30
 
 
 def test_fork_join_returns_both_halves_and_child_exits():
-    here, there = scenario._fork_join(os.getpid, os.getpid)
+    here, there = forkjoin.fork_join(os.getpid, os.getpid)
     assert here == os.getpid() != there
     with pytest.raises(SystemExit) as err:  # a BaseException of the child
-        scenario._fork_join(int, lambda: sys.exit(3))
+        forkjoin.fork_join(int, lambda: sys.exit(3))
     assert err.value.code == 3
 
 
@@ -441,7 +457,7 @@ def test_fork_join_returns_both_halves_and_child_exits():
 def test_fork_join_child_that_never_answers_is_a_child_process_error():
     with pytest.raises(ChildProcessError,
                        match=r"wait status 768 \(exit code 3\)"):
-        scenario._fork_join(lambda: 1, lambda: os._exit(3))
+        forkjoin.fork_join(lambda: 1, lambda: os._exit(3))
 
 
 class _TwoArgError(Exception):
@@ -460,7 +476,7 @@ def test_fork_join_sends_a_stand_in_for_an_error_that_does_not_unpickle():
             raise error
 
         with pytest.raises(RuntimeError) as err:
-            scenario._fork_join(int, fail)
+            forkjoin.fork_join(int, fail)
         assert type(err.value) is RuntimeError and str(err.value) == text
 
 
@@ -643,6 +659,14 @@ _BAD_CONFIGS = {
     "spacing_exceeds_day": _with(("day_span_ms",), 490_000.0),
     # timestamps past 2**43 ms would leave the exact 1/1024 ms lattice
     "day_span_huge": _with(("day_span_ms",), 1e16),
+    # a lognormal RTT whose mean leaves the floats (at 1e200, sigma ** 2
+    # does), on a fleet that uses the channel and on one that does not
+    **{f"rtt_mean_overflow_{sigma:g}_{use}": dict(_with(
+        ("channels", "remote_tcp", "rtt"),
+        {"kind": "lognormal", "median": 50.0, "sigma": sigma}), fleet=fleet)
+       for sigma in (1000.0, 1e200)
+       for use, fleet in (("used", [{"profile": "SMBHyb_rem", "count": 1}]),
+                          ("unused", MINIMAL["fleet"]))},
 }
 _BAD_POLICIES = {
     "policy_critical_string": {"critical": "inf"},
@@ -1217,7 +1241,7 @@ def test_cli_simulate_unwritable_output_is_an_error(tmp_path, capsys,
 
 
 def test_simulate_closes_its_pipes_when_fork_fails(tmp_path, monkeypatch):
-    """The writers' claims and _fork_join's pipes are closed, as the
+    """The writers' claims and fork_join's pipes are closed, as the
     no_descriptor_left fixture checks, and no output is made."""
     def failing():
         raise OSError("no process left")
@@ -1263,6 +1287,25 @@ def _parent_share(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(scenario, "_record_renderer", spied)
     return rendered
+
+
+def test_inline_simulate_builds_the_records_renderer_once(tmp_path,
+                                                          monkeypatch):
+    """Without os.fork the parent's loop claims every records chunk; the
+    child's loop then claims none, and builds no renderer."""
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(scenario, "_RECORD_CHUNK", _SMALL_CHUNK)
+    renderer, built = scenario._record_renderer, []
+
+    def counted(devices):
+        built.append(len(devices))
+        return renderer(devices)
+
+    monkeypatch.setattr(scenario, "_record_renderer", counted)
+    art = run_scenario(parse_config(_EVERY_OUTCOME), tmp_path / "out")
+    assert built == [len(art.devices)]
+    assert {name: _digest(art.out_dir / name)
+            for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
 
 
 # Where the front claims of n writer units meet the back claims, by that
@@ -1406,8 +1449,8 @@ def _plan_claims(monkeypatch, child_takes, meet=lambda n: n - 1
     class Planned:
         def __init__(self, n):
             self.parent = os.getpid()
-            # run_scenario makes the writers' claims, _fork_join the entries'
-            self.entries = sys._getframe(1).f_code.co_name == "_fork_join"
+            # run_scenario makes the writers' claims, fork_join the entries'
+            self.entries = sys._getframe(1).f_code.co_name == "fork_join"
             if self.entries:  # both processes claim from the front
                 self.plans = [iter([unit for unit in range(n)
                                     if bool(child_takes(unit)) != here])
@@ -1423,10 +1466,13 @@ def _plan_claims(monkeypatch, child_takes, meet=lambda n: n - 1
                 parent_took.append(unit)
             return unit
 
-        def close(self):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
             pass
 
-    monkeypatch.setattr(scenario, "_Claims", Planned)
+    monkeypatch.setattr(forkjoin, "Claims", Planned)
     return parent_took
 
 
@@ -1482,13 +1528,10 @@ def test_claims_hand_out_every_unit_once_past_a_pipe_buffer():
     """More units than a 64 KiB pipe holds as 4-byte numbers (16,384),
     claimed by two processes at once."""
     n = 20_000
-    claim = scenario._Claims(n)
-    try:
-        mine, theirs = scenario._fork_join(lambda: list(iter(claim, None)),
-                                           lambda: list(iter(claim, None)))
+    with forkjoin.Claims(n) as claim:
+        mine, theirs = forkjoin.fork_join(lambda: list(iter(claim, None)),
+                                          lambda: list(iter(claim, None)))
         assert claim() is None
-    finally:
-        claim.close()
     assert sorted(mine + theirs) == list(range(n))
     assert mine == sorted(mine) and theirs == sorted(theirs)
 
@@ -1501,13 +1544,10 @@ def test_claims_from_both_ends_hand_out_every_unit_once(monkeypatch, fork):
     if not fork:
         monkeypatch.delattr(os, "fork", raising=False)
     n = 20_000
-    claim = scenario._Claims(n)
-    try:
-        mine, theirs = scenario._fork_join(
+    with forkjoin.Claims(n) as claim:
+        mine, theirs = forkjoin.fork_join(
             lambda: list(iter(partial(claim, back=True), None)),
             lambda: list(iter(claim, None)))
         assert claim() is None and claim(back=True) is None
-    finally:
-        claim.close()
     assert theirs == list(range(len(theirs)))
     assert mine == list(range(n - 1, len(theirs) - 1, -1))
