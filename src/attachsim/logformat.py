@@ -111,7 +111,8 @@ def _head_layouts() -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
 _HEAD_LAYOUTS = _head_layouts()
 
 
-def _head_times(heads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _head_times(heads: list[bytes], digits: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(ok, time) of line heads, each meant to be '{"time": ' and a time.
 
     ok where the time is f"{t:.10f}" of a time t on the 2**-10 ms lattice:
@@ -119,8 +120,12 @@ def _head_times(heads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     a dot and ten fraction digits whose value is j/1024.  Such a time is
     i + j/1024, both exact doubles, so their one rounded sum is
     float(text).  Every other head is not ok, whatever it holds.
+    `digits`, a float64 buffer of at least 33 * len(heads) elements,
+    holds each length group's bytes - 48; without it one is made.
     """
     n = len(heads)
+    if digits is None:
+        digits = np.empty(33 * n)
     lengths = np.fromiter(map(len, heads), np.int64, n)
     rows = np.array(heads, dtype="S33").view(np.uint8).reshape(n, 33)
     ok, time = np.zeros(n, bool), np.zeros(n)
@@ -130,11 +135,30 @@ def _head_times(heads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
         low, span, weights = _HEAD_LAYOUTS[length]
         group = np.flatnonzero(lengths == length)
         head = rows[group, :length]
-        integer, fraction = ((head - 48) @ weights).T
+        values = digits[:head.size].reshape(head.shape)
+        np.subtract(head, 48.0, out=values, dtype=np.float64)
+        integer, fraction = (values @ weights).T
         ticks, rest = np.divmod(fraction, 9765625.0)
         ok[group] = ((head - low) <= span).all(1) & (rest == 0.0)
         time[group] = integer + ticks / 1024.0
     return ok, time
+
+
+def _one_pass(body: bytes) -> list[bytes] | None:
+    """The pieces of `body` cut at every line end and at every _SEP, which
+    becomes a line end and _MARK; None where _MARK is in `body` or the
+    pieces do not come two a line, so no tail is looked up in vain.
+
+    Each _SEP replaced shrinks the block by 9 bytes, so the lengths give
+    the separator count, and len(pieces) == 2 * seps + 1 is the rule
+    len(pieces) == 2 * body.count(b"\n") + 1 without a pass to count.
+    """
+    if _MARK in body:
+        return None
+    joined = body.replace(_SEP, b"\n" + _MARK)
+    pieces = joined.split(b"\n")
+    seps = (len(body) - len(joined)) // 9
+    return pieces if len(pieces) == 2 * seps + 1 else None
 
 
 class _LogReader:
@@ -160,6 +184,7 @@ class _LogReader:
         self.last_line = np.zeros(0, np.int64)
         self.first_close = np.zeros(0, np.int64)
         self.lines = 0
+        self.digits = np.zeros(0)            # _head_times' buffer, grown
         # (device, step, time, gap) of the kept lines, a block at a time
         self.kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
                       np.zeros(0), np.zeros(0))]
@@ -199,17 +224,20 @@ class _LogReader:
             codes[i] = learnt[key]
         return codes
 
+    def _times(self, heads: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """_head_times of `heads` in the reader's digit buffer."""
+        if self.digits.size < 33 * len(heads):
+            self.digits = np.empty(33 * len(heads))
+        return _head_times(heads, self.digits)
+
     def block(self, body: bytes) -> None:
         """Read `body`, whole lines each ended by a line feed."""
-        split = _MARK not in body
-        if split:  # split at _SEP and at line ends in one pass
-            pieces = body.replace(_SEP, b"\n" + _MARK).split(b"\n")
-            # no pairing without two pieces a line: skip their tail lookups
-            split = len(pieces) == 2 * body.count(b"\n") + 1
+        pieces = _one_pass(body)
+        split = pieces is not None
         if split:
             heads, keys = pieces[:-1:2], pieces[1::2]
             codes = self._codes(keys)
-            ok, time = _head_times(heads)
+            ok, time = self._times(heads)
             # the pieces pair up as (head, tail) a line exactly when every
             # tail is a writer tail and no head starts with _MARK
             split = codes.min() >= 0 and not any(
@@ -221,7 +249,7 @@ class _LogReader:
                 heads.append(head)
                 keys.append(_MARK + rest if sep else None)
             codes = self._codes(keys)
-            ok, time = _head_times(heads)
+            ok, time = self._times(heads)
 
         n = len(heads)
         device, step = codes >> 4, codes & 15
@@ -329,23 +357,34 @@ def read_log(path: str | Path, keep) -> tuple[list[str], np.ndarray,
     """
     reader = _LogReader(keep)
     pending: list[bytes] = []  # the log after its last line end, in pieces
-    held = b""
+    # one buffer a call, read into and searched in place; byte 0 holds a
+    # \r held back from the last read as maybe the first half of a \r\n
+    buffer = bytearray(_BLOCK_BYTES + 1)
+    view = memoryview(buffer)
+    held = 0
     with Path(path).open("rb") as f:
         while True:
-            chunk = f.read(_BLOCK_BYTES)
-            data = held + chunk
-            held = b"\r" if chunk and data.endswith(b"\r") else b""
-            if held:  # maybe the first half of a \r\n
-                data = data[:-1]
-            if b"\r" in data:
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            # only this chunk is searched, so a long line costs its length
-            cut = data.rfind(b"\n") + 1
-            if cut:  # one copy: the block is joined from a view of `data`
-                reader.block(b"".join([*pending, memoryview(data)[:cut]]))
+            got = f.readinto(view[held:held + _BLOCK_BYTES])
+            size = held + got
+            held = int(got > 0 and buffer[size - 1] == ord("\r"))
+            size -= held
+            if buffer.find(b"\r", 0, size) >= 0:  # line ends as line feeds
+                text = bytes(view[:size]).replace(b"\r\n", b"\n").replace(
+                    b"\r", b"\n")
+                size = len(text)
+                view[:size] = text
+                # freed before the join: held over it, the copy took a
+                # read of a 30 MB \r\n log from 0.6k to 2.7k page faults
+                del text
+            # only this read is searched, so a long line costs its length
+            cut = buffer.rfind(b"\n", 0, size) + 1
+            if cut:  # one copy: the block is joined from a view of `buffer`
+                reader.block(b"".join([*pending, view[:cut]]))
                 pending = []
-            pending.append(data[cut:])
-            if not chunk:
+            pending.append(bytes(view[cut:size]))
+            if held:
+                buffer[0] = ord("\r")
+            if not got:
                 if any(pending):
                     reader.block(b"".join(pending) + b"\n")
                 return reader.finish()

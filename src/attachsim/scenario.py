@@ -624,6 +624,8 @@ def run_detection(logs_path: str | Path, baseline_path: str | Path,
     report goes beside the CSV one, so `report_path` must not end in .json.
     """
     report_path = Path(report_path)
+    if not report_path.name:  # "", "." or "/": no file name to write
+        raise ConfigError(f"report {str(report_path)!r}: not a file path")
     json_path = report_path.with_suffix(".json")
     if json_path == report_path:
         raise ConfigError(f"report {report_path}: a .json path is the "

@@ -15,6 +15,7 @@ from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from attachsim import (
     run_scenario,
 )
 from attachsim.cli import main
+from attachsim.core import DECIMALS, TIME_LIMIT_MS
 from attachsim.logformat import (
     OUTCOME_AFTER,
     _STEP_DIRECTIONS,
@@ -486,6 +488,116 @@ def test_unpaired_pieces_skip_tail_lookups(sample_log):
     # the log is one line, read by each reader in _READERS
     assert 1 <= spy.call_count <= len(_READERS)
 
+
+
+# counts of `, "layer": ` a line that match the line count in sum, but
+# not one a line
+_BALANCED = ([0, 2], [2, 0], [3, 0, 0], [0, 3, 1, 0], [2, 1, 0], [0, 1, 2])
+
+
+@given(st.data())
+def test_one_pass_split_is_kept_exactly_when_lines_pair_up(sample_log, data):
+    """Over lines holding 0 to 3 `, "layer": `, the block reader keeps its
+    one-pass split exactly when it gives two pieces a line."""
+    lines, _, _ = sample_log
+    counts = data.draw(st.one_of(
+        st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        st.sampled_from(_BALANCED)))
+    picks = data.draw(st.lists(st.integers(0, len(lines) - 1),
+                               min_size=len(counts), max_size=len(counts)))
+    changed = []
+    for count, i in zip(counts, picks):
+        head, tail = lines[i].split(', "layer": ')
+        if count:
+            changed.append(head + ', "layer": '.join([""] + [tail] * count))
+        else:
+            fields = json.loads(lines[i])
+            changed.append(json.dumps({"layer": fields.pop("layer"),
+                                       **fields}))
+    body = _sample_bytes(changed)
+    pieces = body.replace(b', "layer": ', b"\n\x00").split(b"\n")
+    paired = len(pieces) == 2 * body.count(b"\n") + 1
+    assert paired == (sum(counts) == len(counts))
+    assert logformat._one_pass(body) == (pieces if paired else None)
+
+
+@pytest.mark.parametrize("line", [0, 7, 40])
+def test_crlf_across_the_block_end_is_one_line_end(sample_log, line):
+    """The first read ends between the \r and the \n that end a line."""
+    lines, records, _ = sample_log
+    data = _sample_bytes(lines).replace(b"\n", b"\r\n")
+    block = len("\r\n".join(lines[:line + 1])) + 1
+    assert data[block - 1:block + 1] == b"\r\n"
+    assert _reads_as_reference(data, block) == list(records.items())
+
+
+@pytest.mark.parametrize("line", [0, 7, 40])
+def test_lone_cr_at_the_block_end_is_a_line_end(sample_log, line):
+    """The first read ends at a lone \r, held back as a maybe-\r\n."""
+    lines, records, _ = sample_log
+    data = _sample_bytes(lines).replace(b"\n", b"\r")
+    block = len("\r".join(lines[:line + 1])) + 1
+    assert data[block - 1:block + 1] == b"\r" + lines[line + 1][:1].encode()
+    assert _reads_as_reference(data, block) == list(records.items())
+
+
+@pytest.mark.parametrize("ending", [b"\r", b"\n\r"])
+def test_lone_cr_as_the_last_byte_of_the_file(sample_log, ending):
+    """A log whose last line end is a lone \r, read with the \r at a block
+    end (then held over an empty read), inside a block, or after a \n."""
+    lines, records, _ = sample_log
+    data = _sample_bytes(lines)[:-1] + ending
+    for block in (len(data), len(data) - 1, len(data) + 1, 64, 1 << 18):
+        result = _reads_as_reference(data, block)
+        assert result == (list(records.items()) if ending == b"\r" else
+                          (f"line {len(lines) + 1}: blank line",
+                           len(lines) + 1))
+
+
+@pytest.mark.parametrize("block", [64, 1 << 18])
+def test_empty_file_reads_as_no_records(block):
+    assert _reads_as_reference(b"", block) == []
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""])
+def test_file_of_exactly_one_block(sample_log, ending):
+    lines, records, _ = sample_log
+    data = _sample_bytes(lines)[:-1].replace(b"\n", ending or b"\n") + ending
+    assert _reads_as_reference(data, len(data)) == list(records.items())
+
+
+def _writer_log(ticks: list[int], ending: bytes) -> bytes:
+    """One AuthReject-shaped record a tick count k, both of its lines at
+    k / 1024 ms, written with the writer's pieces and `ending`."""
+    lines = []
+    for i, k in enumerate(ticks):
+        for step in (AttachStep.AttachRequest,
+                     AttachStep.AuthenticationRequest):
+            head, end = logformat.TAIL_PIECES[step]
+            lines.append(logformat.LINE % (
+                k >> 10, DECIMALS[k & 1023].encode(),
+                head + json.dumps(f"dev-{i}").encode() + end))
+    return b"".join(lines).replace(b"\n", ending)
+
+
+_LATTICE_END = int(TIME_LIMIT_MS * 1024)  # ticks below TIME_LIMIT_MS
+
+
+@given(st.lists(st.integers(0, _LATTICE_END - 1), max_size=40),
+       st.sampled_from([b"\n", b"\r\n"]), _BLOCKS)
+def test_writer_times_read_back_bit_exact(ticks, ending, block):
+    """Every lattice time below TIME_LIMIT_MS, as the writer renders it,
+    reads back as the same double, on the lattice path (no json)."""
+    ticks = [0, 1, 1023, 1024, _LATTICE_END - 1] + ticks
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(_writer_log(ticks, ending))
+        with mock.patch.object(logformat, "_BLOCK_BYTES", block), \
+                mock.patch.object(logformat, "_read_line",
+                                  side_effect=AssertionError("json path")):
+            _, _, _, times, _ = logformat.read_log(path, AttachStep)
+    expected = np.array([k / 1024 for k in ticks for _ in range(2)])
+    assert times.tobytes() == expected.tobytes()
 
 _TIME_TEXTS = st.one_of(
     st.integers(0, 2 ** 53 - 1).map(lambda k: f"{k / 1024:.10f}"),

@@ -367,6 +367,22 @@ def test_cli_detect_json_report_path_is_an_error(tmp_path, capsys):
         assert not list(tmp_path.glob("r.*"))
 
 
+@pytest.mark.parametrize("report", ["", ".", "/"])
+def test_cli_detect_report_path_without_a_name_is_an_error(
+        tmp_path, monkeypatch, capsys, report):
+    """A --report with no file name has no .json sibling: an error before
+    either log is read, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    logs, base = _detect_pair(tmp_path)
+    for inputs in ((logs, base), (tmp_path / "none", tmp_path / "none")):
+        capsys.readouterr()
+        assert main(["detect", "--logs", str(inputs[0]),
+                     "--baseline", str(inputs[1]), "--report", report]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: report ") and err.count("\n") == 1
+        assert "not a file path" in err
+
+
 def test_detection_skips_thin_devices(tmp_path):
     base = run_scenario(
         ScenarioConfig(seed=23, fleet=(FleetEntry("FairPhone5G", 2),),
