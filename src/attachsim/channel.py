@@ -1,12 +1,12 @@
-"""ME-to-SIM transport models for the authentication phase.
+"""ME-to-SIM relay models for the authentication phase of a remote SIM.
 
-Three transports produce the elapsed time a SIM interaction adds to the
-authentication step: a coupled serial link (SIM in the device), and two
-decoupled IP relays through a control server, one reliable-ordered
-(TCP-like) and one datagram with loss and retransmission (UDP-like).
+Two relays through a control server produce the elapsed time a remote
+SIM adds to the authentication step: one reliable-ordered (TCP-like) and
+one datagram with loss and retransmission (UDP-like).  A coupled SIM, in
+the device, has none: its profile's step table gives its auth latency.
 
-Remote elapsed time decomposes into transfer time (round trips on the
-relay path) plus processing time at the relay endpoints; both parts are
+Elapsed time decomposes into transfer time (round trips on the relay
+path) plus processing time at the relay endpoints; both parts are
 reported separately so the transfer lower bound can be checked exactly.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ConfigError, RngStream, sorted_median
 
-COUPLED_SERIAL = "coupled_serial"
+COUPLED_SERIAL = "coupled_serial"  # a profile's kind with no channel
 REMOTE_TCP = "remote_tcp"
 REMOTE_UDP = "remote_udp"
 CHANNEL_KINDS = (COUPLED_SERIAL, REMOTE_TCP, REMOTE_UDP)
@@ -31,8 +31,6 @@ CHANNEL_KINDS = (COUPLED_SERIAL, REMOTE_TCP, REMOTE_UDP)
 # Processing samples never drop below this; sub-millisecond endpoint
 # processing is below the log timestamp resolution being modeled.
 PROCESSING_FLOOR_MS = 1.0
-# The serial link floor is much lower: single transfers are ~0.1 ms.
-SERIAL_FLOOR_MS = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +149,12 @@ def builtin_remote_rtt() -> RttDistribution:
 class ProcessingPhase:
     """One endpoint processing interval during authentication."""
 
-    site: str  # SimBank, Gateway, SimCard, Me
+    site: str  # SimBank, Gateway
     mean_ms: float
     std_ms: float
 
     def __post_init__(self):
-        if self.site not in ("SimBank", "Gateway", "SimCard", "Me"):
+        if self.site not in ("SimBank", "Gateway"):
             raise ConfigError(f"unknown processing site {self.site!r}")
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ConfigError("processing phase moments must be non-negative")
@@ -205,14 +203,12 @@ class SimChannel:
     retransmit_timeout_ms: float = 200.0
     backoff_factor: float = 2.0
     backoff_cap: float = 8.0            # timeout multiplier never exceeds this
-    serial_mean_ms: float = 0.12        # coupled single-transfer moments
-    serial_std_ms: float = 0.15
     processing_phases: tuple[ProcessingPhase, ...] = ()
     online: OnlinePenalty = field(default_factory=OnlinePenalty)
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
-            raise ConfigError(f"unknown channel kind {self.kind!r}")
+        if self.kind not in (REMOTE_TCP, REMOTE_UDP):
+            raise ConfigError(f"{self.kind!r} is not a relay kind")
         if not 0.0 <= self.loss_prob < 1.0:
             # at 1.0 no packet is ever delivered, so a session never ends
             raise ConfigError("loss_prob must be within [0, 1)")
@@ -228,38 +224,10 @@ class SimChannel:
             raise ConfigError("backoff factor and cap must be finite and "
                               "at least 1")
 
-    @property
-    def is_remote(self) -> bool:
-        return self.kind in (REMOTE_TCP, REMOTE_UDP)
-
     @cached_property
     def _phase_moments(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([p.mean_ms for p in self.processing_phases]),
                 np.array([p.std_ms for p in self.processing_phases]))
-
-
-def coupled_serial(serial_mean_ms: float = 0.12, serial_std_ms: float = 0.15,
-                   sessions_auth: int = 4,
-                   processing_phases: tuple[ProcessingPhase, ...] | None = None,
-                   ) -> SimChannel:
-    """Serial link to an inserted SIM: four standard transfers per auth."""
-    if processing_phases is None:
-        processing_phases = (
-            ProcessingPhase("SimCard", 15.6, 14.5),
-            ProcessingPhase("SimCard", 15.6, 14.5),
-            ProcessingPhase("Me", 9.4, 10.8),
-            ProcessingPhase("Me", 9.4, 10.8),
-            ProcessingPhase("Me", 9.4, 10.8),
-        )
-    return SimChannel(
-        kind=COUPLED_SERIAL,
-        rtt=RttDistribution.constant(0.0),
-        sessions_auth=sessions_auth,
-        packets_per_session=1,
-        serial_mean_ms=serial_mean_ms,
-        serial_std_ms=serial_std_ms,
-        processing_phases=processing_phases,
-    )
 
 
 def remote_tcp(rtt: RttDistribution | None = None, sessions_auth: int = 15,
@@ -275,7 +243,7 @@ def remote_tcp(rtt: RttDistribution | None = None, sessions_auth: int = 15,
             tuple(ProcessingPhase("SimBank", 218.0, 8.0) for _ in range(8))
             + tuple(ProcessingPhase("Gateway", 211.0, 6.0) for _ in range(6))
         )
-    channel = SimChannel(
+    return SimChannel(
         kind=REMOTE_TCP,
         rtt=rtt if rtt is not None else builtin_remote_rtt(),
         sessions_auth=sessions_auth,
@@ -283,10 +251,8 @@ def remote_tcp(rtt: RttDistribution | None = None, sessions_auth: int = 15,
         handshake_packets=3,
         ack_cost_ms=ack_cost_ms,
         processing_phases=processing_phases,
+        online=online if online is not None else OnlinePenalty(),
     )
-    if online is not None:
-        channel = replace(channel, online=online)
-    return channel
 
 
 def remote_udp(rtt: RttDistribution | None = None, sessions_auth: int = 9,
@@ -303,7 +269,7 @@ def remote_udp(rtt: RttDistribution | None = None, sessions_auth: int = 9,
             tuple(ProcessingPhase("SimBank", 236.1, 116.3) for _ in range(6))
             + tuple(ProcessingPhase("Gateway", 139.3, 73.6) for _ in range(6))
         )
-    channel = SimChannel(
+    return SimChannel(
         kind=REMOTE_UDP,
         rtt=rtt if rtt is not None else builtin_remote_rtt(),
         sessions_auth=sessions_auth,
@@ -311,20 +277,16 @@ def remote_udp(rtt: RttDistribution | None = None, sessions_auth: int = 9,
         loss_prob=loss_prob,
         retransmit_timeout_ms=retransmit_timeout_ms,
         processing_phases=processing_phases,
+        online=online if online is not None else OnlinePenalty(),
     )
-    if online is not None:
-        channel = replace(channel, online=online)
-    return channel
 
 
 def build_channel(kind: str, **kwargs) -> SimChannel:
-    if kind == COUPLED_SERIAL:
-        return coupled_serial(**kwargs)
     if kind == REMOTE_TCP:
         return remote_tcp(**kwargs)
     if kind == REMOTE_UDP:
         return remote_udp(**kwargs)
-    raise ConfigError(f"unknown channel kind {kind!r}")
+    raise ConfigError(f"{kind!r} is not a relay kind")
 
 
 def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
@@ -340,15 +302,10 @@ def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
 def _phase_draws(channel: SimChannel, gen: np.random.Generator, m: int
                  ) -> tuple:
     """The generator calls of `m` authentication phases, in their order:
-    the transfers (serial ones on the coupled link, round trips on a
-    relay, the connection setup's first), the datagram attempts per
-    packet, the online penalty, then the (m, phases) processing normals.
-    A draw the channel does not make is None."""
-    if channel.kind == COUPLED_SERIAL:
-        transfers = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
-                               (m, channel.sessions_auth))
-    else:
-        transfers = channel.rtt.sample(gen, m * _rtt_width(channel))
+    the round trips (the connection setup's first), the datagram attempts
+    per packet, the online penalty, then the (m, phases) processing
+    normals.  A draw the channel does not make is None."""
+    transfers = channel.rtt.sample(gen, m * _rtt_width(channel))
     packets = channel.sessions_auth * channel.packets_per_session
     attempts = gen.geometric(1.0 - channel.loss_prob, (m, packets)) if (
         channel.kind == REMOTE_UDP and channel.loss_prob > 0.0 and packets
@@ -373,10 +330,12 @@ _STACK_ROWS = 400
 
 def auth_channel_batch(channel: SimChannel, gens, counts
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """auth_channel_draws for each of one or more generators and counts in
-    turn, concatenated.  Each generator makes its calls as
-    auth_channel_draws makes them; the sums run on the draws of as many
-    generators as fill _STACK_ROWS rows, stacked."""
+    """Transfer and processing totals of `counts[i]` authentication phases
+    drawn from `gens[i]`, for each generator in turn, concatenated.  Each
+    generator makes one call per kind of draw, whatever the batch: the
+    round trips, the datagram losses, the online penalty, then the
+    (count, phases) processing matrix.  The sums run on the draws of as
+    many generators as fill _STACK_ROWS rows, stacked."""
     totals, stack, rows = [], [], 0
     for gen, m in zip(gens, counts):
         stack.append(_phase_draws(channel, gen, m))
@@ -397,25 +356,21 @@ def _phase_totals(channel: SimChannel, stack: list[tuple]
     """Transfer and processing totals of the phases whose _phase_draws are
     `stack`, in turn; each row sums as it would alone.
 
-    Coupled: one serial transfer per session.  Remote: each session is
-    two round-trip transfers, plus per-packet ack cost on the reliable
-    transport or loss-driven retransmission waits on the datagram one;
-    each handshake packet is half a round trip.
+    Each session is two round-trip transfers, plus per-packet ack cost on
+    the reliable transport or loss-driven retransmission waits on the
+    datagram one; each handshake packet is half a round trip.
     """
     transfers, attempts, online, normals = (
         None if parts[0] is None else np.concatenate(parts)
         for parts in zip(*stack))
     m = len(normals)
-    if channel.kind == COUPLED_SERIAL:
-        transfer = np.maximum(transfers, SERIAL_FLOOR_MS).sum(axis=1)
+    width = _rtt_width(channel)
+    rtts = channel.rtt.values(transfers, m * width).reshape(m, width)
+    setup = 0.5 * channel.handshake_packets
+    if setup:
+        transfer = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
     else:
-        width = _rtt_width(channel)
-        rtts = channel.rtt.values(transfers, m * width).reshape(m, width)
-        setup = 0.5 * channel.handshake_packets
-        if setup:
-            transfer = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
-        else:
-            transfer = rtts.sum(axis=1)
+        transfer = rtts.sum(axis=1)
     if channel.kind == REMOTE_TCP:
         transfer = transfer + (channel.sessions_auth
                                * channel.packets_per_session
@@ -434,27 +389,16 @@ def _phase_totals(channel: SimChannel, stack: list[tuple]
     return transfer, processing.sum(axis=1)
 
 
-def auth_channel_draws(channel: SimChannel, gen: np.random.Generator, m: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer and processing totals of `m` authentication phases, one
-    generator call per kind of draw: the round trips, the datagram
-    losses, the online penalty, then the (m, phases) processing matrix."""
-    return auth_channel_batch(channel, [gen], [m])
-
-
 def auth_channel_elapsed(channel: SimChannel, rng: RngStream) -> ChannelBreakdown:
     """Transfer and processing totals for one authentication phase: the
-    one-row case of auth_channel_draws."""
-    transfer, processing = auth_channel_draws(channel, rng.gen, 1)
+    one-row case of auth_channel_batch."""
+    transfer, processing = auth_channel_batch(channel, [rng.gen], [1])
     return ChannelBreakdown(transfer_total_ms=float(transfer[0]),
                             processing_total_ms=float(processing[0]))
 
 
 def min_transfer_floor(channel: SimChannel) -> float:
-    """Lower bound on per-session transfer time: two round trips at the
-    median RTT.  Only defined for the relay transports."""
-    if not channel.is_remote:
-        raise ConfigError("transfer floor is defined for remote channels only")
+    """Lower bound on a session's transfer time: two median round trips."""
     return 2.0 * channel.rtt.median_ms
 
 
@@ -523,8 +467,6 @@ def calibrate_processing(channel: SimChannel, target_mean_ms: float
     floored normal phases), so the one processing scale factor is the
     root of a convex, increasing equation, found by Newton's method.
     """
-    if not channel.is_remote:
-        raise ConfigError("calibration applies to remote channels only")
     phases = channel.processing_phases
     unfloored = sum(_floored_normal_mean(p.mean_ms, p.std_ms, 0.0)[0]
                     for p in phases)

@@ -55,7 +55,7 @@ def read_value(value, kind, ctx: str):
     if isinstance(value, bool) is (kind is bool):
         if kind is float and isinstance(value, (int, float)) \
                 and abs(value) <= sys.float_info.max:
-            return float(value)
+            return float(value) + 0.0  # -0.0 reads as 0.0
         if kind is int and isinstance(value, float) and value.is_integer():
             return int(value)
         if kind is not float and isinstance(value, kind):

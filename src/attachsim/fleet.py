@@ -292,16 +292,19 @@ def channel_overrides(kind: str, raw: dict, ctx: str) -> dict:
 
 
 def channel_for(profile: DeviceProfile, overrides: dict | None = None,
-                calibrate: bool = True) -> chan.SimChannel:
-    """Build (and optionally calibrate) the SIM channel a profile expects.
+                calibrate: bool = True) -> chan.SimChannel | None:
+    """Build (and optionally calibrate) the relay a remote profile expects;
+    None for a coupled profile, whose step table gives its auth latency.
 
     `overrides` is the profile's `channels.<kind>` config section.
-    Calibration scales the remote channel's processing phases so that the
+    Calibration scales the relay's processing phases so that the
     simulated mean authentication latency lands on the profile's target.
     """
     kind = profile.channel_kind
-    built = chan.build_channel(
-        kind, **channel_overrides(kind, overrides or {}, f"channels {kind}"))
-    if calibrate and built.is_remote and profile.calibration_target_ms is not None:
+    kwargs = channel_overrides(kind, overrides or {}, f"channels {kind}")
+    if kind == chan.COUPLED_SERIAL:
+        return None
+    built = chan.build_channel(kind, **kwargs)
+    if calibrate and profile.calibration_target_ms is not None:
         built = chan.calibrate_processing(built, profile.calibration_target_ms)
     return built

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import aka
-from .channel import SimChannel, auth_channel_batch
+from .channel import COUPLED_SERIAL, SimChannel, auth_channel_batch
 from .core import (
     TIME_LIMIT_MS,
     TIME_QUANTUM_MS,
@@ -216,17 +216,18 @@ def _lattice(values: np.ndarray) -> np.ndarray:
     return np.rint(values * 1024.0) / 1024.0
 
 
-def run_devices(profile: "DeviceProfile", channel: SimChannel,
+def run_devices(profile: "DeviceProfile", channel: SimChannel | None,
                 network: NetworkConfig, starts, rngs, device_ids
                 ) -> list[DeviceAttaches]:
     """Drive the attach procedures of devices sharing one profile: device
     i runs one attach per start time (ms) in row i of `starts`, draws
-    from rngs[i] and is named device_ids[i].
+    from rngs[i] and is named device_ids[i].  A coupled profile has no
+    relay: its `channel` is None.
 
     Step latencies come from the device profile: one standard-normal
     matrix (attaches x steps), floored at 0.1 ms and put on the lattice.
-    The authentication response additionally carries the SIM-channel
-    elapsed time (remote profiles draw it from the channel, one row per
+    The authentication response additionally carries the relay's
+    elapsed time (remote profiles draw it from the relay, one row per
     attach that passes AKA, instead of the profile entry), the
     algorithm's processing cost and the over-the-air component.  Every
     attach runs the AKA check on its own challenge, all of them as one
@@ -240,10 +241,11 @@ def run_devices(profile: "DeviceProfile", channel: SimChannel,
     whatever the batch; the arithmetic runs on (devices, attaches, steps)
     arrays, and each result is a row view of them.
     """
-    if profile.channel_kind != channel.kind:
+    kind = COUPLED_SERIAL if channel is None else channel.kind
+    if profile.channel_kind != kind:
         raise ConfigError(
             f"profile {profile.name!r} expects channel kind "
-            f"{profile.channel_kind!r}, got {channel.kind!r}")
+            f"{profile.channel_kind!r}, got {kind!r}")
     steps = profile.enabled_steps
     begin = _lattice(np.asarray(starts, dtype=float))
     d, n, k = len(rngs), begin.shape[1], len(steps)
@@ -269,7 +271,7 @@ def run_devices(profile: "DeviceProfile", channel: SimChannel,
     auth_ms = raw[..., auth]
     transfer = np.full((d, n), np.nan)
     processing = transfer.copy()
-    if channel.is_remote:  # row-major: device i's passed attaches in turn
+    if channel is not None:  # row-major: device i's passed attaches in turn
         transfer[passed], processing[passed] = auth_channel_batch(
             channel, [rng.gen for rng in rngs], passed.sum(axis=1).tolist())
         np.copyto(auth_ms, transfer + processing, where=passed)
@@ -307,7 +309,7 @@ def run_devices(profile: "DeviceProfile", channel: SimChannel,
             for i, device_id in enumerate(device_ids)]
 
 
-def run_attaches(profile: "DeviceProfile", channel: SimChannel,
+def run_attaches(profile: "DeviceProfile", channel: SimChannel | None,
                  network: NetworkConfig, starts, rng: RngStream
                  ) -> DeviceAttaches:
     """run_devices for one device, named as its profile says."""
@@ -315,7 +317,7 @@ def run_attaches(profile: "DeviceProfile", channel: SimChannel,
     return run_devices(profile, channel, network, [starts], [rng], [name])[0]
 
 
-def run_attach(profile: "DeviceProfile", channel: SimChannel,
+def run_attach(profile: "DeviceProfile", channel: SimChannel | None,
                network: NetworkConfig, clock: EventClock, rng: RngStream,
                attach_seq: int = 0) -> AttachRecord:
     """Drive one attach procedure from the clock's time and return its

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
     policy = ReauthPolicy(config.attaches_per_device, config.min_spacing_ms)
     root = RngStream(config.seed)
 
+    # every device's arrays are laid out before any draw or device id,
+    # and each fleet entry's are filled by whichever process runs the entry
+    arrays = _shared_arrays(
+        [(entry.count, policy.count, len(profile.enabled_steps))
+         for entry, profile in zip(config.fleet, profiles)])
     ids: list[list[str]] = []  # per fleet entry
     per_model_count: dict[str, int] = {}
     for entry, profile in zip(config.fleet, profiles):
@@ -273,18 +279,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
         per_model_count[profile.name] = first + entry.count
         ids.append([f"{profile.name}-{i:03d}"
                     for i in range(first, first + entry.count)])
-    # every device's arrays are laid out before any draw, and each fleet
-    # entry's are filled by whichever process runs the entry
-    arrays = _shared_arrays(
-        [(entry.count, policy.count, len(profile.enabled_steps))
-         for entry, profile in zip(config.fleet, profiles)])
     devices = [DeviceAttaches(device_id, profile.name, profile.enabled_steps,
                               **{name: array[i] for name, array in
                                  entry_arrays.items()})
                for profile, entry_ids, entry_arrays in zip(profiles, ids,
                                                            arrays)
                for i, device_id in enumerate(entry_ids)]
-    channels: dict[str, SimChannel] = {}
+    channels: dict[str, SimChannel | None] = {}
 
     def run_entry(e: int) -> None:
         entry, profile = config.fleet[e], profiles[e]
@@ -365,7 +366,10 @@ def _shared_arrays(shapes: list[tuple[int, int, int]]
             fields[name] = dtype, shape, size
             size += -(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8
         layout.append(fields)
-    buffer = mmap.mmap(-1, size)
+    try:
+        buffer = mmap.mmap(-1, size)
+    except (OverflowError, OSError) as exc:
+        raise ConfigError(f"fleet: cannot map its {size} bytes ({exc})") from None
 
     def view(dtype, shape, offset) -> np.ndarray:
         return np.frombuffer(buffer, dtype, math.prod(shape),
@@ -554,7 +558,8 @@ def _write_summary(path: Path, devices: list[DeviceAttaches],
         totals.append(cell(times[done, -1] - times[done, 0])
                       if done.any() else "/")
 
-    lines = ["step,message,direction," + ",".join(model_order)]
+    lines = ["step,message,direction,"
+             + ",".join(map(_csv_field, model_order))]
     for step in ATTACH_SEQUENCE:
         lines.append(f"{step.value},{step.name},{step.direction},"
                      + ",".join(column.get(step, "/") for column in columns))
@@ -603,6 +608,21 @@ def _step_latencies(path: str | Path, step: AttachStep
             for device_id, values in _by_device(ids, device, gap)}
 
 
+def _refuse_overwrite(outs, *logs) -> None:
+    """ConfigError if an output path is the same file as an input log."""
+    for out, log in product(outs, logs):
+        if os.path.exists(out) and os.path.exists(log) \
+                and os.path.samefile(out, log):
+            raise ConfigError(f"{out}: would overwrite the input log {log}")
+
+
+def _csv_field(text: str) -> str:
+    """`text` as a csv.QUOTE_MINIMAL field, with no csv import."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     verdicts: list[Verdict]
@@ -621,7 +641,8 @@ def run_detection(logs_path: str | Path, baseline_path: str | Path,
     Each log is read once, keeping only each device's authentication
     latencies. The baseline log is read in a forked child while this
     process reads the test log; an error in the test log wins.  The JSON
-    report goes beside the CSV one, so `report_path` must not end in .json.
+    report goes beside the CSV one, so `report_path` must not end in .json,
+    and neither report may be an input log.
     """
     report_path = Path(report_path)
     if not report_path.name:  # "", "." or "/": no file name to write
@@ -630,6 +651,7 @@ def run_detection(logs_path: str | Path, baseline_path: str | Path,
     if json_path == report_path:
         raise ConfigError(f"report {report_path}: a .json path is the "
                           f"JSON report's; give the CSV report another")
+    _refuse_overwrite((report_path, json_path), logs_path, baseline_path)
     auth = AttachStep.AuthenticationResponse
     device_latencies, baseline_latencies = forkjoin.fork_join(
         lambda: _step_latencies(logs_path, auth),
@@ -665,9 +687,9 @@ def _write_detection_reports(csv_path: Path, json_path: Path,
     for v in verdicts:
         stat = v.ttest.t if policy.statistic == "double" else v.ttest.t_welch
         lines.append(
-            f"{v.device_id},{v.stats.n},{v.stats.mean:.3f},{v.stats.std:.3f},"
-            f"{v.stats.median:.3f},{stat:.4f},{v.ttest.p_value:.3e},"
-            f"{v.decision.value}")
+            f"{_csv_field(v.device_id)},{v.stats.n},{v.stats.mean:.3f},"
+            f"{v.stats.std:.3f},{v.stats.median:.3f},{stat:.4f},"
+            f"{v.ttest.p_value:.3e},{v.decision.value}")
     csv_path.write_text("\n".join(lines) + "\n")
 
     payload = {
@@ -703,6 +725,7 @@ def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,
     """Histogram of one step's latencies, as CSV points for plotting."""
     if bins < 1:
         raise ConfigError(f"bins must be at least 1, got {bins}")
+    _refuse_overwrite((out_path,), logs_path)
     if isinstance(step, str):
         step = step_named(step)
     elif isinstance(step, int):
@@ -713,12 +736,12 @@ def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,
         raise EmptyWindow(f"no samples for step {step.name}")
     counts, edges = np.histogram(np.asarray(values), bins=bins)
     total = float(len(values))
-    out_path = Path(out_path)
     lines = ["bin_low,bin_high,count,density"]
     for i, count in enumerate(counts):
         width = edges[i + 1] - edges[i]
         density = count / (total * width) if width > 0 else 0.0
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(count)},"
                      f"{density:.8g}")
+    out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n")
     return out_path

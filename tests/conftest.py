@@ -10,7 +10,6 @@ from attachsim import (
     RngStream,
     builtin_profiles,
     channel_for,
-    coupled_serial,
     run_attach,
 )
 
@@ -86,4 +85,5 @@ def attach_once(profiles, channels):
 
 @pytest.fixture()
 def plain_channel():
-    return coupled_serial()
+    """What a coupled profile runs with: no relay."""
+    return None

@@ -19,13 +19,12 @@ from attachsim import (
     build_channel,
     builtin_remote_rtt,
     calibrate_processing,
-    coupled_serial,
     min_transfer_floor,
     remote_tcp,
     remote_udp,
 )
 from attachsim import channel as chan_mod
-from attachsim.channel import ProcessingPhase, auth_channel_draws
+from attachsim.channel import ProcessingPhase, auth_channel_batch
 
 BUILTIN_RTT_SHA256 = (
     "67d279e343f2cf411400a2cab06beb9437945bdac3e107fbd8960ca11f91aea1")
@@ -41,7 +40,7 @@ def _sessions(channel, n, seed=0):
     one-session channel with no handshake and no processing."""
     one = replace(channel, sessions_auth=1, handshake_packets=0,
                   processing_phases=())
-    transfer, processing = auth_channel_draws(one, RngStream(seed).gen, n)
+    transfer, processing = auth_channel_batch(one, [RngStream(seed).gen], [n])
     assert not processing.any()
     return transfer.tolist()
 
@@ -75,13 +74,6 @@ def test_builtin_rtt_fixture_frozen():
     assert statistics.median(rtt.samples) == 57.4
     assert min(rtt.samples) > 20.0
     assert abs(statistics.mean(rtt.samples) - 62.1) < 0.5
-
-
-def test_coupled_transfer_clamped_serial():
-    samples = _sessions(coupled_serial(), 4000, seed=3)
-    assert min(samples) >= 0.01
-    # clamped N(0.12, 0.15) at 0.01: analytic mean 0.140248
-    assert abs(statistics.mean(samples) / 0.140248 - 1.0) < 0.05
 
 
 def test_tcp_session_is_two_rtts_plus_acks():
@@ -130,8 +122,6 @@ def test_min_transfer_floor_examples():
         remote_tcp(rtt=RttDistribution.constant(0.0))) == 0.0
     rtt = RttDistribution.empirical([10.0, 20.0, 40.0])
     assert min_transfer_floor(remote_udp(rtt=rtt)) == 40.0
-    with pytest.raises(ConfigError):
-        min_transfer_floor(coupled_serial())
 
 
 def test_auth_transfer_never_below_floor():
@@ -154,20 +144,6 @@ def test_processing_totals_uncalibrated():
         lambda r: auth_channel_elapsed(remote_udp(), r).processing_total_ms,
         1500, seed=8)
     assert abs(udp_mean / 2263.1 - 1.0) < 0.02
-
-
-def test_coupled_auth_elapsed():
-    channel = coupled_serial()
-    rng = RngStream(9)
-    transfer, processing = [], []
-    for _ in range(1500):
-        bd = auth_channel_elapsed(channel, rng)
-        transfer.append(bd.transfer_total_ms)
-        processing.append(bd.processing_total_ms)
-    # four serial transfers; phases 2 x SimCard(15.6, 14.5) + 3 x Me(9.4, 10.8)
-    # clamped at 1 ms give analytic mean 65.834
-    assert abs(statistics.mean(transfer) / (4 * 0.140248) - 1.0) < 0.10
-    assert abs(statistics.mean(processing) / 65.834 - 1.0) < 0.05
 
 
 def test_packet_counts_frozen():
@@ -252,34 +228,28 @@ _BATCH_CHANNELS = (
     remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5), loss_prob=0.3,
                online=OnlinePenalty(enabled=True, mean_ms=100.0, std_ms=80.0)),
     remote_tcp(rtt=RttDistribution.empirical([10.0, 20.0, 40.0])),
-    coupled_serial(),
 )
 
 
 def _reference_auth_channel_draws(channel, gen, m):
-    """auth_channel_draws as it ran before the sums were stacked: each
-    sum beside its draws, one generator at a time.  The oracle of
+    """One generator's `m` phases as they ran before the sums were
+    stacked: each sum beside its draws.  The oracle of
     auth_channel_batch."""
     sessions = channel.sessions_auth
-    if channel.kind == chan_mod.COUPLED_SERIAL:
-        draws = gen.normal(channel.serial_mean_ms, channel.serial_std_ms,
-                           (m, sessions))
-        transfer = np.maximum(draws, chan_mod.SERIAL_FLOOR_MS).sum(axis=1)
-    else:
-        setup = 0.5 * channel.handshake_packets
-        width = 2 * sessions + (setup > 0)
-        rtts = channel.rtt.draw(gen, m * width).reshape(m, width)
-        transfer = (setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1) if setup
-                    else rtts.sum(axis=1))
-        packets = sessions * channel.packets_per_session
-        if channel.kind == chan_mod.REMOTE_TCP:
-            transfer = transfer + packets * channel.ack_cost_ms
-        elif channel.loss_prob > 0.0 and packets:
-            losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
-            top = int(losses.max(initial=0))
-            if top:
-                transfer += channel.retransmit_timeout_ms * \
-                    chan_mod._backoff_prefix(channel, top)[losses].sum(axis=1)
+    setup = 0.5 * channel.handshake_packets
+    width = 2 * sessions + (setup > 0)
+    rtts = channel.rtt.draw(gen, m * width).reshape(m, width)
+    transfer = (setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1) if setup
+                else rtts.sum(axis=1))
+    packets = sessions * channel.packets_per_session
+    if channel.kind == chan_mod.REMOTE_TCP:
+        transfer = transfer + packets * channel.ack_cost_ms
+    elif channel.loss_prob > 0.0 and packets:
+        losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
+        top = int(losses.max(initial=0))
+        if top:
+            transfer += channel.retransmit_timeout_ms * \
+                chan_mod._backoff_prefix(channel, top)[losses].sum(axis=1)
     transfer += channel.online.draw(gen, m)
     means, stds = channel._phase_moments
     draws = means + stds * gen.standard_normal((m, len(means)))
@@ -306,12 +276,12 @@ def test_auth_channel_elapsed_is_one_row_batch():
     for channel in _BATCH_CHANNELS:
         for seed in range(5):
             bd = auth_channel_elapsed(channel, RngStream(seed))
-            transfer, processing = chan_mod.auth_channel_draws(
-                channel, RngStream(seed).gen, 1)
+            transfer, processing = auth_channel_batch(
+                channel, [RngStream(seed).gen], [1])
             assert (bd.transfer_total_ms, bd.processing_total_ms) == \
                 (transfer[0], processing[0])
-        transfer, processing = chan_mod.auth_channel_draws(
-            channel, RngStream(0).gen, 0)
+        transfer, processing = auth_channel_batch(
+            channel, [RngStream(0).gen], [0])
         assert transfer.shape == processing.shape == (0,)
 
 
@@ -324,8 +294,8 @@ def test_auth_channel_elapsed_is_one_row_batch():
 ], ids=["tcp", "udp_loss_0.05", "lognormal_online"])
 def test_batch_mean_is_calibrated_mean(channel, target):
     tuned = calibrate_processing(channel, target)
-    transfer, processing = chan_mod.auth_channel_draws(
-        tuned, RngStream(21).gen, 40_000)
+    transfer, processing = auth_channel_batch(
+        tuned, [RngStream(21).gen], [40_000])
     draws = transfer + processing
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - _exact_mean(tuned)) < 3 * se
@@ -356,8 +326,7 @@ def test_expected_backoff_matches_series():
 def test_same_seed_same_breakdown():
     online = OnlinePenalty(enabled=True)
     for channel in (remote_tcp(), remote_udp(loss_prob=0.3, online=online),
-                    remote_tcp(rtt=RttDistribution.lognormal(50.0)),
-                    coupled_serial()):
+                    remote_tcp(rtt=RttDistribution.lognormal(50.0))):
         a = [auth_channel_elapsed(channel, RngStream(7, (2,)))
              for _ in range(3)]
         b = [auth_channel_elapsed(channel, RngStream(7, (2,)))
@@ -419,8 +388,6 @@ def test_calibration_deterministic():
 def test_calibration_infeasible_target():
     with pytest.raises(ConfigError):
         calibrate_processing(remote_tcp(), 100.0)
-    with pytest.raises(ConfigError):
-        calibrate_processing(coupled_serial(), 100.0)
     bare = remote_udp(rtt=RttDistribution.constant(1.0), processing_phases=())
     with pytest.raises(ConfigError):
         calibrate_processing(bare, 500.0)
@@ -434,7 +401,6 @@ def test_degenerate_channel_is_all_zero():
 
 
 def test_build_channel_dispatch():
-    assert build_channel("coupled_serial").kind == "coupled_serial"
     assert build_channel("remote_tcp").kind == "remote_tcp"
     assert build_channel("remote_udp", loss_prob=0.1).loss_prob == 0.1
     with pytest.raises(ConfigError):

@@ -175,9 +175,22 @@ def test_transmission_model_validation():
 
 
 def test_channel_for_kinds(profiles):
-    assert channel_for(profiles["FairPhone5G"]).kind == "coupled_serial"
+    assert channel_for(profiles["FairPhone5G"]) is None
     assert channel_for(profiles["SMBHyb_rem"]).kind == "remote_tcp"
     assert channel_for(profiles["SMBPor_rem"]).kind == "remote_udp"
+
+
+def test_channel_for_coupled_profiles_is_none(profiles):
+    # a coupled SIM's auth latency comes from its step table, not a relay
+    coupled = [p for p in profiles.values()
+               if p.channel_kind == "coupled_serial"]
+    assert {"FairPhone5G", "SMBHyb_loc", "SMBPor_loc"} <= {
+        p.name for p in coupled}
+    for profile in coupled:
+        assert channel_for(profile) is None
+        assert channel_for(profile, {}, calibrate=False) is None
+        with pytest.raises(ConfigError):  # its overrides are still checked
+            channel_for(profile, {"sessions_auth": 4})
 
 
 def test_channel_for_calibrates_remote(profiles):

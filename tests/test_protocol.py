@@ -17,7 +17,6 @@ from attachsim import (
     RngStream,
     SignalingMessage,
     TransmissionModel,
-    coupled_serial,
     run_attach,
     run_attaches,
     step_named,
@@ -25,7 +24,7 @@ from attachsim import (
 )
 from attachsim import aka, channel_for
 from attachsim import channel as chan_mod
-from attachsim.channel import auth_channel_draws
+from attachsim.channel import auth_channel_batch
 from attachsim.core import TIME_LIMIT_MS, TIME_QUANTUM_MS
 from attachsim.monitor import ReauthPolicy, schedule_devices, schedule_reauth
 from attachsim.protocol import (
@@ -173,9 +172,15 @@ def test_auth_reject_on_mismatched_sim_key(plain_channel):
 
 
 def test_channel_kind_mismatch_rejected(profiles, channels):
-    with pytest.raises(ConfigError):
-        run_attach(profiles["SMBHyb_rem"], channels["FairPhone5G"],
-                   NetworkConfig(), EventClock(0.0), RngStream(1))
+    # no relay for a remote SIM, a relay for a phone, the other relay
+    for name, channel, got in (
+            ("SMBHyb_rem", None, "coupled_serial"),
+            ("FairPhone5G", channels["SMBHyb_rem"], "remote_tcp"),
+            ("SMBPor_rem", channels["SMBHyb_rem"], "remote_tcp")):
+        with pytest.raises(ConfigError, match=f"expects channel kind "
+                           f"'{profiles[name].channel_kind}', got '{got}'$"):
+            run_attach(profiles[name], channel, NetworkConfig(),
+                       EventClock(0.0), RngStream(1))
 
 
 def test_validator_accepts_all_builtin_runs(profiles, channels, attach_once):
@@ -307,7 +312,7 @@ def test_run_attach_is_first_attach_of_run_attaches(profiles, channels):
             assert (single.auth_transfer_ms, single.auth_processing_ms) == \
                 (first.auth_transfer_ms, first.auth_processing_ms)
             assert (single.auth_transfer_ms is None) is (
-                wrong_key or not channels[name].is_remote)
+                wrong_key or channels[name] is None)
             assert clock.now == single.messages[-1].time
 
 
@@ -372,9 +377,9 @@ def _reference_run_attaches(profile, channel, network, starts, rng):
                               gen.bytes(aka.KEY_LEN * n), alg)
     transfer = np.full(n, np.nan)
     processing = np.full(n, np.nan)
-    if channel.is_remote:
-        transfer[passed], processing[passed] = auth_channel_draws(
-            channel, gen, int(np.count_nonzero(passed)))
+    if channel is not None:
+        transfer[passed], processing[passed] = auth_channel_batch(
+            channel, [gen], [int(np.count_nonzero(passed))])
         raw[passed, auth] = transfer[passed] + processing[passed]
     raw[:, auth] += cost
     raw[:, auth] += over_air
@@ -528,7 +533,7 @@ def test_batch_equals_singles_wrong_key(profiles, channels):
 def test_batch_equals_singles_serialised_overlaps():
     # attaches of about 100 ms, 30 of them triggered within 200 ms
     profile = _flat_profile(10.0, 2.0, name="Inline")
-    batch = _batch_equals_singles(profile, coupled_serial(), NetworkConfig(),
+    batch = _batch_equals_singles(profile, None, NetworkConfig(),
                                   ReauthPolicy(30, 0.0), (0.0, 200.0))
     for dev in batch:
         begins, ends = dev.times[:, 0], dev.times[:, -1]
@@ -550,10 +555,10 @@ def test_run_devices_names_first_device_past_the_limit():
     ids = [f"Slow-{i:03d}" for i in range(8)]
     with pytest.raises(ConfigError,
                        match=f"^Slow-{crossing[0]:03d}: .* timestamp limit"):
-        run_devices(profile, coupled_serial(), NetworkConfig(), starts,
+        run_devices(profile, None, NetworkConfig(), starts,
                     [RngStream(5).substream(i) for i in range(8)], ids)
     # the devices before it run
-    run_devices(profile, coupled_serial(), NetworkConfig(),
+    run_devices(profile, None, NetworkConfig(),
                 starts[:crossing[0]], rngs[:crossing[0]], ids[:crossing[0]])
 
 

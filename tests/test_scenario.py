@@ -383,6 +383,96 @@ def test_cli_detect_report_path_without_a_name_is_an_error(
         assert "not a file path" in err
 
 
+def _copy_logs(tmp_path, **names):
+    """The _detect_pair logs copied under `tmp_path/run`, renamed."""
+    run = tmp_path / "run"
+    run.mkdir()
+    copies = {}
+    for (key, name), src in zip(names.items(), _detect_pair(tmp_path)):
+        copies[key] = run / name
+        copies[key].write_bytes(src.read_bytes())
+    return copies
+
+
+@pytest.mark.parametrize("logs_name, base_name, report", [
+    ("test.json", "base.jsonl", "test.csv"),  # its .json sibling: --logs
+    ("test.jsonl", "base.json", "base.csv"),  # ... --baseline
+    ("test.jsonl", "base.jsonl", "test.jsonl"),  # the CSV one: --logs
+    ("test.jsonl", "base.jsonl", "../run/base.jsonl"),  # --baseline
+])
+def test_cli_detect_report_may_not_name_an_input_log(
+        tmp_path, capsys, logs_name, base_name, report):
+    logs = _copy_logs(tmp_path, test=logs_name, base=base_name)
+    before = {path: path.read_bytes() for path in logs.values()}
+    capsys.readouterr()
+    assert main(["detect", "--logs", str(logs["test"]),
+                 "--baseline", str(logs["base"]),
+                 "--report", str(tmp_path / "run" / report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "would overwrite the input log" in err
+    assert {path: path.read_bytes() for path in logs.values()} == before
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+        p.name for p in logs.values())
+
+
+def test_cli_distribution_out_may_not_name_its_log(tmp_path, capsys):
+    logs = _copy_logs(tmp_path, test="test.jsonl")["test"]
+    before = logs.read_bytes()
+    # the same file by another name: a hard link
+    os.link(logs, tmp_path / "link.jsonl")
+    for out in (logs, tmp_path / "link.jsonl"):
+        capsys.readouterr()
+        assert main(["distribution", "--logs", str(logs), "--step",
+                     "AuthenticationResponse", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "would overwrite the input log" in err
+        assert logs.read_bytes() == before
+
+
+def test_report_csv_quotes_fields_that_need_it(tmp_path):
+    import csv
+
+    logs, base = _detect_pair(tmp_path)
+    # JSON-escaped ids: a comma and a line break, and two quotes
+    odd = {"FairPhone5G-000": "Fair,Phone\n000",
+           "FairPhone5G-001": 'Fair"Phone"001'}
+    text = logs.read_text()
+    for plain, escaped in odd.items():
+        text = text.replace(f'"{plain}"', json.dumps(escaped))
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text(text)
+    result = run_detection(renamed, base, DetectPolicy(),
+                           tmp_path / "report.csv")
+    with open(result.csv_path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [8] * 4
+    assert [row[0] for row in rows[1:]] == sorted(
+        [*odd.values(), "SMBHyb_rem-000"])
+    assert rows[1:] == [
+        [v.device_id, str(v.stats.n), f"{v.stats.mean:.3f}",
+         f"{v.stats.std:.3f}", f"{v.stats.median:.3f}",
+         f"{v.ttest.t_welch:.4f}", f"{v.ttest.p_value:.3e}",
+         v.decision.value] for v in result.verdicts]
+
+
+def test_summary_csv_quotes_a_model_name_that_needs_it(tmp_path):
+    import csv
+
+    box = dict(_INLINE, name='Box,"1"')
+    raw = dict(MINIMAL, attaches_per_device=3,
+               fleet=[{"profile": "FairPhone5G", "count": 1},
+                      {"profile": box, "count": 2}])
+    art = run_scenario(parse_config(raw), tmp_path / "out")
+    with open(art.summary_path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["step", "message", "direction", "FairPhone5G",
+                       'Box,"1"']
+    assert [len(row) for row in rows] == [5] * len(rows)
+    assert len(rows) == 1 + len(ATTACH_SEQUENCE) + 1
+
+
 def test_detection_skips_thin_devices(tmp_path):
     base = run_scenario(
         ScenarioConfig(seed=23, fleet=(FleetEntry("FairPhone5G", 2),),
@@ -713,6 +803,46 @@ def test_cli_rejects_bad_values_without_traceback(tmp_path, capsys, case):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path, fields", [
+    (("transmission",), {"sigma": None}),
+    (("channels", "remote_tcp", "rtt"),
+     {"kind": "lognormal", "median": 50.0, "sigma": None}),
+    # calibrate is off below: with the online penalty on, SMBHyb_rem's
+    # target is below its transfers alone
+    (("channels", "remote_tcp", "online"), {"std_ms": None}),
+], ids=["transmission_sigma", "rtt_sigma", "online_std_ms"])
+def test_negative_zero_simulates_as_zero(tmp_path, capsys, path, fields):
+    outputs = []
+    for zero in (-0.0, 0.0):
+        raw = _with(path, {k: zero if v is None else v
+                           for k, v in fields.items()})
+        raw.update(attaches_per_device=4, calibrate=False, fleet=[
+            {"profile": "FairPhone5G", "count": 1},
+            {"profile": "SMBHyb_rem", "count": 1}])
+        cfg = tmp_path / f"config{zero}.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / f"out{zero}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) \
+            == 0, capsys.readouterr().err
+        outputs.append([(out / name).read_bytes() for name in (
+            "logs.jsonl", "records.jsonl", "summary.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_huge_count_is_an_error(tmp_path, capsys):
+    """1e30 devices is an integral count: mapping their arrays fails, as
+    a config error that names the bytes, before any device id is made."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, fleet=[
+        {"profile": "FairPhone5G", "count": 1e30}])))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: fleet: cannot map its \d{30,} bytes ", err)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_day_span_limit_is_checked_at_parse_time():
