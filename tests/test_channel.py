@@ -257,6 +257,7 @@ def _reference_auth_channel_draws(channel, gen, m):
 
 
 @pytest.mark.parametrize("channel", _BATCH_CHANNELS + (
+    remote_udp(loss_prob=0.0, processing_phases=()),
     remote_udp(rtt=RttDistribution.constant(30.0), loss_prob=0.9),))
 def test_auth_channel_batch_equals_one_generator_at_a_time(channel):
     # the 450 rows fill more than one stack of sums; 0 draws nothing
