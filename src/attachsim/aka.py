@@ -13,7 +13,7 @@ its one-row case.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -47,9 +47,6 @@ class SubscriberKey:
         except ValueError as exc:
             raise ConfigError(f"invalid key hex: {text!r}") from exc
         return cls(raw)
-
-    def hex(self) -> str:
-        return self.k.hex()
 
 
 @dataclass(frozen=True)
@@ -124,18 +121,13 @@ def xor_test(k: bytes, rand: bytes) -> tuple[bytes, bytes]:
     return XOR_TEST.respond(SubscriberKey(k), rand)
 
 
-_REGISTRY: dict[str, AuthAlgorithm] = {"XorTest": XOR_TEST}
-
-
 def algorithm_named(name: str, latency_mean_ms: float = 0.0,
                     latency_std_ms: float = 0.0) -> AuthAlgorithm:
-    base = _REGISTRY.get(name)
-    if base is None:
+    if name != XOR_TEST.name:
         raise ConfigError(f"unknown auth algorithm {name!r}; registered: "
-                          f"{sorted(_REGISTRY)}")
-    if latency_mean_ms == base.latency_mean_ms and latency_std_ms == base.latency_std_ms:
-        return base
-    return AuthAlgorithm(base.name, base.compute, latency_mean_ms, latency_std_ms)
+                          f"{[XOR_TEST.name]}")
+    return replace(XOR_TEST, latency_mean_ms=latency_mean_ms,
+                   latency_std_ms=latency_std_ms)
 
 
 def challenge_for(k: SubscriberKey, rand: bytes,

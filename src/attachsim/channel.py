@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, RngStream, sorted_median
+from .core import ConfigError, DataFileError, RngStream, sorted_median
 
 COUPLED_SERIAL = "coupled_serial"  # a profile's kind with no channel
 REMOTE_TCP = "remote_tcp"
@@ -31,6 +31,10 @@ CHANNEL_KINDS = (COUPLED_SERIAL, REMOTE_TCP, REMOTE_UDP)
 # Processing samples never drop below this; sub-millisecond endpoint
 # processing is below the log timestamp resolution being modeled.
 PROCESSING_FLOOR_MS = 1.0
+# A datagram's a-th retry waits min(BACKOFF_FACTOR**a, BACKOFF_CAP)
+# retransmit timeouts.
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +83,7 @@ class RttDistribution:
         """One decimal milliseconds value per line, plain ASCII text.
 
         Fail-closed: a line that is not ASCII, or holds anything but
-        finite numbers, raises ConfigError naming the file and the
+        finite numbers, raises DataFileError naming the file and the
         1-based line.
         """
         raw = Path(path).read_bytes()
@@ -88,15 +92,15 @@ class RttDistribution:
             try:
                 tokens = line.decode("ascii").split()
             except UnicodeDecodeError:
-                raise ConfigError(f"{path} line {lineno}: not ASCII text") from None
+                raise DataFileError(f"{path} line {lineno}: not ASCII text") from None
             for token in tokens:
                 try:
                     value = float(token)
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):
-                    raise ConfigError(f"{path} line {lineno}: expected a finite "
-                                      f"number, got {token!r:.40}")
+                    raise DataFileError(f"{path} line {lineno}: expected a "
+                                        f"finite number, got {token!r:.40}")
                 values.append(value)
         return cls.empirical(values, checksum=hashlib.sha256(raw).hexdigest())
 
@@ -201,8 +205,6 @@ class SimChannel:
     ack_cost_ms: float = 0.0            # per-packet cost on reliable transports
     loss_prob: float = 0.0              # datagram transports only
     retransmit_timeout_ms: float = 200.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 8.0            # timeout multiplier never exceeds this
     processing_phases: tuple[ProcessingPhase, ...] = ()
     online: OnlinePenalty = field(default_factory=OnlinePenalty)
 
@@ -219,10 +221,6 @@ class SimChannel:
         if not 0.0 <= self.ack_cost_ms < math.inf:
             # a negative cost would cut transfers below the two-RTT floor
             raise ConfigError("ack_cost_ms must be finite and non-negative")
-        if not all(1.0 <= v < math.inf
-                   for v in (self.backoff_factor, self.backoff_cap)):
-            raise ConfigError("backoff factor and cap must be finite and "
-                              "at least 1")
 
     @cached_property
     def _phase_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,13 +287,12 @@ def build_channel(kind: str, **kwargs) -> SimChannel:
     raise ConfigError(f"{kind!r} is not a relay kind")
 
 
-def _backoff_prefix(channel: SimChannel, top: int) -> np.ndarray:
-    """Total wait, in retransmit timeouts, after 0..top lost attempts: the
-    a-th retry waits min(backoff_factor**a, backoff_cap) timeouts."""
+def _backoff_prefix(top: int) -> np.ndarray:
+    """Total wait, in retransmit timeouts, after 0..top lost attempts."""
     waits, factor = [0.0], 1.0
     for _ in range(top):
-        waits.append(waits[-1] + min(factor, channel.backoff_cap))
-        factor *= channel.backoff_factor
+        waits.append(waits[-1] + min(factor, BACKOFF_CAP))
+        factor *= BACKOFF_FACTOR
     return np.array(waits)
 
 
@@ -381,7 +378,7 @@ def _phase_totals(channel: SimChannel, stack: list[tuple]
         top = int(losses.max(initial=0))
         if top:
             transfer += channel.retransmit_timeout_ms * _backoff_prefix(
-                channel, top)[losses].sum(axis=1)
+                top)[losses].sum(axis=1)
     if online is not None:
         transfer += online
     means, stds = channel._phase_moments
@@ -417,16 +414,15 @@ def _floored_normal_mean(mean: float, std: float, floor: float
 def _expected_backoff(channel: SimChannel) -> float:
     """Expected wait per packet, in retransmit timeouts:
     sum over a of min(b**a, cap) * p**(a + 1), in closed form."""
-    p, b, cap = channel.loss_prob, channel.backoff_factor, channel.backoff_cap
+    p, b, cap = channel.loss_prob, BACKOFF_FACTOR, BACKOFF_CAP
     if p == 0.0:
         return 0.0
-    # the first `head` terms are b**a < cap; every later one is `tail`
-    head, tail = (0, 1.0) if b == 1.0 else (
-        max(math.ceil(math.log(cap) / math.log(b)), 0), cap)
+    # the first `head` terms are b**a < cap; every later one is `cap`
+    head = math.ceil(math.log(cap) / math.log(b))
     log_ratio = math.log(b) + math.log(p)
     rising = head if log_ratio == 0.0 else \
         math.expm1(head * log_ratio) / math.expm1(log_ratio)
-    return p * rising + tail * p ** (head + 1) / (1.0 - p)
+    return p * rising + cap * p ** (head + 1) / (1.0 - p)
 
 
 def _expected_transfer_ms(channel: SimChannel) -> float:

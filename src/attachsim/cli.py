@@ -59,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--out", required=True, help="output CSV path")
     dist.add_argument("--bins", type=int, default=60, help="histogram bins")
 
-    prof = sub.add_parser("profiles", help="list built-in device profiles")
-    prof.add_argument("--list", action="store_true", help="print the table")
+    sub.add_parser("profiles", help="list built-in device profiles")
 
     return parser
 

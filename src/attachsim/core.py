@@ -16,6 +16,10 @@ class ConfigError(ValueError):
     """Rejected configuration value or file."""
 
 
+class DataFileError(ConfigError):
+    """Malformed data file that a config names; the message names it."""
+
+
 class ParseError(ValueError):
     """Malformed log input; carries the 1-based line number."""
 

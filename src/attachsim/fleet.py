@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -125,9 +125,6 @@ class DeviceProfile:
             return self.subscriber_key
         flipped = bytes([self.subscriber_key.k[0] ^ 0xFF]) + self.subscriber_key.k[1:]
         return SubscriberKey(flipped)
-
-    def for_device(self, device_id: str) -> "DeviceProfile":
-        return replace(self, device_id=device_id)
 
 
 def attempt_camp(profile: DeviceProfile, env: RadioEnvironment) -> CampDecision:

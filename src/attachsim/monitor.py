@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DegenerateInput, EmptyWindow, MalformedRecord
-from .core import RngStream, sorted_median
+from .core import sorted_median
 from .protocol import AttachRecord, AttachStep, step_named
 
 
@@ -299,8 +299,3 @@ def schedule_devices(policy: ReauthPolicy, day: tuple[float, float],
     ticks = np.round((start + offsets + i * policy.min_spacing_ms) * 1024.0)
     return (np.maximum.accumulate(ticks - i, axis=1) + i) / 1024.0
 
-
-def schedule_reauth(policy: ReauthPolicy, day: tuple[float, float],
-                    rng: RngStream) -> list[float]:
-    """schedule_devices for one device."""
-    return schedule_devices(policy, day, [rng])[0].tolist()

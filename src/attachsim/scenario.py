@@ -27,6 +27,7 @@ from .core import (
     DECIMALS,
     TIME_LIMIT_MS,
     ConfigError,
+    DataFileError,
     EmptyWindow,
     RngStream,
     digit_cells,
@@ -92,7 +93,6 @@ class ScenarioConfig:
     calibrate: bool = True
     channels: dict = field(default_factory=dict)
     transmission: TransmissionModel = field(default_factory=TransmissionModel)
-    detect: DetectPolicy = field(default_factory=DetectPolicy)
 
     def __post_init__(self):
         if not self.fleet:
@@ -114,6 +114,17 @@ class ScenarioConfig:
                 f"cannot place {self.attaches_per_device} attaches "
                 f"{self.min_spacing_ms} ms apart in a {self.day_span_ms} ms "
                 f"day_span_ms")
+        # the profiles and relays run_scenario makes, made here to check them
+        _base_profiles(self.fleet)
+        channels = read_section(self.channels, "channels",
+                                dict.fromkeys(CHANNEL_KINDS, dict))
+        if COUPLED_SERIAL in channels:
+            raise ConfigError(
+                f"channels {COUPLED_SERIAL}: takes no overrides; a coupled "
+                f"profile's auth latency comes from its step table")
+        for kind, section in channels.items():
+            build_channel(kind, **channel_overrides(kind, section,
+                                                    f"channels {kind}"))
 
 
 _PROFILE_SCHEMA = {"name": str, "steps": dict, "optional_steps": list,
@@ -128,7 +139,7 @@ _CONFIG_SCHEMA = {"version": int, "seed": int, "fleet": list,
                   "rsrp_dbm": float, "attaches_per_device": int,
                   "day_span_ms": float, "min_spacing_ms": float,
                   "auth_timer_ms": float, "calibrate": bool, "channels": dict,
-                  "transmission": dict, "detect": dict}
+                  "transmission": dict}
 
 
 def _parse_inline_profile(raw: dict, ctx: str) -> DeviceProfile:
@@ -168,12 +179,8 @@ def load_policy(path: str | Path | None) -> DetectPolicy:
     """The detection policy in a JSON file; the default one without a file."""
     if path is None:
         return DetectPolicy()
-    return _parse_policy(_read_json(path), ctx=str(path))
-
-
-def _parse_policy(raw: dict, ctx: str) -> DetectPolicy:
-    return DetectPolicy(**read_section(raw, ctx, {"critical": float,
-                                                  "statistic": str}))
+    return DetectPolicy(**read_section(_read_json(path), str(path), {
+        "critical": float, "statistic": str}))
 
 
 def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
@@ -194,22 +201,15 @@ def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
                                                      f"{ectx} profile")
         entries.append(FleetEntry(**entry))
     spec["fleet"] = tuple(entries)
-    _base_profiles(spec["fleet"])  # resolved only to be checked
-
-    channels = read_section(spec.get("channels", {}), f"{ctx} channels",
-                            dict.fromkeys(CHANNEL_KINDS, dict))
-    if COUPLED_SERIAL in channels:
-        raise ConfigError(
-            f"{ctx} channels {COUPLED_SERIAL}: takes no overrides; a coupled "
-            f"profile's auth latency comes from its step table")
-    for kind, section in channels.items():  # built only to be checked
-        build_channel(kind, **channel_overrides(kind, section,
-                                                f"{ctx} channels {kind}"))
     spec["transmission"] = TransmissionModel(**read_section(
         spec.get("transmission", {}), f"{ctx} transmission",
         _TRANSMISSION_SCHEMA))
-    spec["detect"] = _parse_policy(spec.get("detect", {}), f"{ctx} detect")
-    return ScenarioConfig(**spec)
+    try:
+        return ScenarioConfig(**spec)
+    except DataFileError:
+        raise
+    except ConfigError as exc:
+        raise ConfigError(f"{ctx} {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -75,7 +76,7 @@ def attach_once(profiles, channels):
 
     def run(name: str, seed: int = 1, network: NetworkConfig | None = None,
             start_ms: float = 0.0):
-        profile = profiles[name].for_device(f"{name}-000")
+        profile = replace(profiles[name], device_id=f"{name}-000")
         return run_attach(profile, channels[name],
                           network or NetworkConfig(),
                           EventClock(start_ms), RngStream(seed))

@@ -105,7 +105,7 @@ def test_verify_is_exact_and_size_checked():
 def test_subscriber_key_hex_roundtrip():
     key = SubscriberKey.from_hex("000102030405060708090a0b0c0d0e0f")
     assert key.k == bytes(range(16))
-    assert SubscriberKey.from_hex(key.hex()) == key
+    assert SubscriberKey.from_hex(key.k.hex()) == key
     with pytest.raises(ConfigError):
         SubscriberKey(b"\x00" * 15)
     with pytest.raises(ConfigError):

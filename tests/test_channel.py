@@ -249,7 +249,7 @@ def _reference_auth_channel_draws(channel, gen, m):
         top = int(losses.max(initial=0))
         if top:
             transfer += channel.retransmit_timeout_ms * \
-                chan_mod._backoff_prefix(channel, top)[losses].sum(axis=1)
+                chan_mod._backoff_prefix(top)[losses].sum(axis=1)
     transfer += channel.online.draw(gen, m)
     means, stds = channel._phase_moments
     draws = means + stds * gen.standard_normal((m, len(means)))
@@ -306,22 +306,19 @@ def test_batch_mean_is_calibrated_mean(channel, target):
 
 
 def test_expected_backoff_matches_series():
-    for b, cap in ((2.0, 8.0), (1.0, 8.0), (1.0, 1.0), (3.0, 1.0),
-                   (1.5, 100.0), (2.0, 5.0)):
-        for p in (0.0, 0.02, 0.3, 0.9):
-            channel = remote_udp(rtt=RttDistribution.constant(0.0),
-                                 loss_prob=p)
-            channel = replace(channel, backoff_factor=b, backoff_cap=cap)
-            series, factor = 0.0, 1.0
-            for a in range(2000):
-                series += min(factor, cap) * p ** (a + 1)
-                factor = min(factor * b, cap)
-            assert chan_mod._expected_backoff(channel) == pytest.approx(
-                series, rel=1e-12, abs=1e-300)
-            prefix = chan_mod._backoff_prefix(channel, 12)
-            assert list(prefix) == pytest.approx(
-                [sum(min(b ** k, cap) for k in range(a)) for a in range(13)],
-                rel=1e-15)
+    b, cap = 2.0, 8.0
+    for p in (0.0, 0.02, 0.3, 0.5, 0.9):  # at 0.5, b * p is 1
+        channel = remote_udp(rtt=RttDistribution.constant(0.0), loss_prob=p)
+        series, factor = 0.0, 1.0
+        for a in range(2000):
+            series += min(factor, cap) * p ** (a + 1)
+            factor = min(factor * b, cap)
+        assert chan_mod._expected_backoff(channel) == pytest.approx(
+            series, rel=1e-12, abs=1e-300)
+        prefix = chan_mod._backoff_prefix(12)
+        assert list(prefix) == pytest.approx(
+            [sum(min(b ** k, cap) for k in range(a)) for a in range(13)],
+            rel=1e-15)
 
 
 def test_same_seed_same_breakdown():
@@ -423,11 +420,6 @@ def test_channel_validation():
         RttDistribution.constant(-1.0)
     with pytest.raises(ConfigError):
         RttDistribution.lognormal(50.0, sigma=-0.35)
-    for bad in (0.5, math.inf, math.nan):
-        with pytest.raises(ConfigError):
-            replace(remote_udp(), backoff_factor=bad)
-        with pytest.raises(ConfigError):
-            replace(remote_udp(), backoff_cap=bad)
     # a negative ack cost would break the two-RTT transfer floor
     for bad in (-30.0, -1e-9, math.inf, math.nan):
         with pytest.raises(ConfigError):

@@ -101,12 +101,6 @@ def test_sim_side_key_misconfiguration(profiles):
     assert wrong.k[1:] == profile.subscriber_key.k[1:]
 
 
-def test_for_device(profiles):
-    tagged = profiles["GalaxyA90"].for_device("GalaxyA90-007")
-    assert tagged.device_id == "GalaxyA90-007"
-    assert profiles["GalaxyA90"].device_id is None
-
-
 def test_attempt_camp_threshold(profiles):
     note4 = profiles["GalaxyNote4"]  # sensitivity -120
     phone = profiles["FairPhone5G"]  # sensitivity -85

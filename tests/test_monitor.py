@@ -23,11 +23,10 @@ from attachsim import (
     SignalingMessage,
     classify,
     compute_step_latencies,
-    schedule_reauth,
     welch_t,
 )
 from attachsim.core import TIME_QUANTUM_MS
-from attachsim.monitor import _student_sf
+from attachsim.monitor import _student_sf, schedule_devices
 
 
 def _record(times_steps, device="dev-000", outcome=Outcome.Completed):
@@ -276,30 +275,34 @@ def test_detect_policy_validation():
 
 def test_schedule_reauth_spacing():
     policy = ReauthPolicy(count=24, min_spacing_ms=60_000.0)
-    times = schedule_reauth(policy, (0.0, 86_400_000.0), RngStream(17))
+    times = schedule_devices(policy, (0.0, 86_400_000.0),
+                             [RngStream(17)])[0].tolist()
     assert len(times) == 24
     assert times == sorted(times)
     assert times[0] >= 0.0 and times[-1] < 86_400_000.0
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g >= 60_000.0 - TIME_QUANTUM_MS for g in gaps)
-    again = schedule_reauth(policy, (0.0, 86_400_000.0), RngStream(17))
+    again = schedule_devices(policy, (0.0, 86_400_000.0),
+                             [RngStream(17)])[0].tolist()
     assert times == again
 
 
 def test_schedule_reauth_quantized():
-    times = schedule_reauth(ReauthPolicy(count=5), (0.0, 1000.0), RngStream(3))
+    times = schedule_devices(ReauthPolicy(count=5), (0.0, 1000.0),
+                             [RngStream(3)])[0]
     for t in times:
         assert t == round(t / TIME_QUANTUM_MS) * TIME_QUANTUM_MS
 
 
 def test_schedule_reauth_capacity():
     with pytest.raises(ConfigError):
-        schedule_reauth(ReauthPolicy(count=10, min_spacing_ms=10_000.0),
-                        (0.0, 90_000.0), RngStream(1))
-    times = schedule_reauth(ReauthPolicy(count=10, min_spacing_ms=10_000.0),
-                            (0.0, 90_001.0), RngStream(1))
+        schedule_devices(ReauthPolicy(count=10, min_spacing_ms=10_000.0),
+                         (0.0, 90_000.0), [RngStream(1)])
+    times = schedule_devices(ReauthPolicy(count=10, min_spacing_ms=10_000.0),
+                             (0.0, 90_001.0), [RngStream(1)])[0]
     assert len(times) == 10
-    single = schedule_reauth(ReauthPolicy(count=1), (10.0, 20.0), RngStream(2))
+    single = schedule_devices(ReauthPolicy(count=1), (10.0, 20.0),
+                              [RngStream(2)])[0]
     assert len(single) == 1 and 10.0 <= single[0] < 20.0
 
 

@@ -36,7 +36,6 @@ from attachsim import (
     run_attaches,
     run_detection,
     run_scenario,
-    schedule_reauth,
 )
 from attachsim import forkjoin, scenario
 from attachsim.cli import main
@@ -52,7 +51,7 @@ from attachsim.core import (
     lattice_repr,
 )
 from attachsim.fleet import builtin_profiles
-from attachsim.monitor import compute_step_latencies
+from attachsim.monitor import compute_step_latencies, schedule_devices
 from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
 
 MINIMAL = {
@@ -91,7 +90,6 @@ def test_parse_config_defaults():
     assert cfg.min_spacing_ms == 10_000.0
     assert cfg.rsrp_dbm == -71.0
     assert cfg.calibrate is True
-    assert cfg.detect == DetectPolicy()
 
 
 def test_parse_config_fail_closed():
@@ -690,7 +688,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["distribution", "--logs", str(out / "logs.jsonl"),
                  "--step", "AuthenticationResponse",
                  "--out", str(tmp_path / "d.csv")]) == 0
-    assert main(["profiles", "--list"]) == 0
+    assert main(["profiles"]) == 0
     capsys.readouterr()
 
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -753,9 +751,8 @@ _BAD_CONFIGS = {
     "loss_prob_one": _with(("channels", "remote_udp", "loss_prob"), 1.0),
     "ack_cost_negative": _with(("channels", "remote_tcp", "ack_cost_ms"),
                                -30.0),
-    "critical_string": _with(("detect", "critical"), "inf"),
-    "critical_nan": _with(("detect", "critical"), math.nan),
-    "critical_bool": _with(("detect", "critical"), True),
+    # the detection policy is detect's --policy file, not a config section
+    "detect_section": _with(("detect", "critical"), 3.0),
     # scalars that only run_scenario used to check, after making the
     # output directory
     "rsrp_zero": _with(("rsrp_dbm",), 0),
@@ -780,6 +777,7 @@ _BAD_POLICIES = {
     "policy_critical_infinity": {"critical": math.inf},
     "policy_critical_bool": {"critical": True},
     "policy_not_object": [1.65],
+    "policy_statistic_unknown": {"statistic": "bayes"},
 }
 _BAD_BINS = {"bins_zero": "0", "bins_negative": "-3"}
 
@@ -894,7 +892,8 @@ def _crossing(cfg, entry: int) -> list[int]:
     crossing = []
     for i in range(cfg.fleet[entry].count):
         rng = RngStream(cfg.seed).substream(first + i)
-        starts = schedule_reauth(ReauthPolicy(1), (0.0, cfg.day_span_ms), rng)
+        starts = schedule_devices(ReauthPolicy(1), (0.0, cfg.day_span_ms),
+                                  [rng])[0]
         try:
             run_attaches(profile, channel_for(profile), network, starts, rng)
         except ConfigError:
@@ -997,6 +996,23 @@ def test_cli_rejects_bad_rtt_file_without_traceback(tmp_path, capsys, bad):
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {rtt} line 2: ")
+
+
+def test_library_config_is_checked_as_parse_config_checks_it():
+    fleet = (FleetEntry("FairPhone5G", 1),)
+    with pytest.raises(ConfigError, match="^channels coupled_serial: takes no "
+                                          "overrides"):
+        ScenarioConfig(seed=1, fleet=fleet, attaches_per_device=2, channels={
+            "remote_tcp": {"bogus": 1}, "coupled_serial": {}})
+    with pytest.raises(ConfigError, match="^channels remote_tcp: unknown keys"):
+        ScenarioConfig(seed=1, fleet=fleet, channels={"remote_tcp": {"bogus": 1}})
+    with pytest.raises(ConfigError, match="^unknown profile 'NoSuchPhone'"):
+        ScenarioConfig(seed=1, fleet=(FleetEntry("NoSuchPhone", 1),))
+    # parse_config names its file once, before the same checks' messages
+    with pytest.raises(ConfigError, match="^cfg.json channels remote_tcp: "
+                                          "unknown keys"):
+        parse_config(_with(("channels", "remote_tcp", "bogus"), 1),
+                     ctx="cfg.json")
 
 
 def test_cli_rejects_coupled_channel_section(tmp_path, capsys):
@@ -1150,6 +1166,22 @@ def test_writers_match_record_oracle(tmp_path):
     assert art.summary_path.read_text() == summary
 
 
+def test_writers_match_record_oracle_past_999_devices(tmp_path):
+    # FairPhone5G-1000 sorts between -100 and -101: logs and records
+    # follow string id order, summary.csv the fleet's model order
+    raw = dict(MINIMAL, attaches_per_device=3,
+               fleet=[{"profile": "FairPhone5G", "count": 700},
+                      {"profile": "GalaxyS3", "count": 2},
+                      {"profile": "FairPhone5G", "count": 400}])
+    art = run_scenario(parse_config(raw), tmp_path / "out")
+    assert "FairPhone5G-1099" in art.records
+    logs, records, summary = _reference_artifacts(
+        art.records, ["FairPhone5G", "GalaxyS3"])
+    assert art.logs_path.read_text() == logs
+    assert art.records_path.read_text() == records
+    assert art.summary_path.read_text() == summary
+
+
 def test_cli_simulate_prints_outcomes_without_building_records(
         tmp_path, capsys, monkeypatch):
     def refuse(self):
@@ -1189,11 +1221,10 @@ def test_profile_name_collision_is_an_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="two different profiles are named "
                                           "'SMBHyb_rem'"):
         parse_config(raw)
-    cfg = ScenarioConfig(seed=3, fleet=(FleetEntry("SMBHyb_rem", 1),
-                                        FleetEntry(_inline_relay(400.0), 1)))
+    # a config built in code is checked when it is made, before any run
     with pytest.raises(ConfigError, match="two different profiles"):
-        run_scenario(cfg, tmp_path / "lib")
-    assert not (tmp_path / "lib").exists()
+        ScenarioConfig(seed=3, fleet=(FleetEntry("SMBHyb_rem", 1),
+                                      FleetEntry(_inline_relay(400.0), 1)))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(path),
