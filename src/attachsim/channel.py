@@ -84,7 +84,7 @@ class RttDistribution:
 
         Fail-closed: a line that is not ASCII, or holds anything but
         finite numbers, raises DataFileError naming the file and the
-        1-based line.
+        1-based line; a file of no values raises one naming the file.
         """
         raw = Path(path).read_bytes()
         values = []
@@ -102,6 +102,9 @@ class RttDistribution:
                     raise DataFileError(f"{path} line {lineno}: expected a "
                                         f"finite number, got {token!r:.40}")
                 values.append(value)
+        if not values:
+            raise DataFileError(f"{path}: no values; an empirical rtt needs "
+                                f"at least one sample")
         return cls.empirical(values, checksum=hashlib.sha256(raw).hexdigest())
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:

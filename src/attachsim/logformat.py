@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+from functools import partial
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import forkjoin
 from .core import ConfigError, ParseError
 from .protocol import AttachStep, Outcome, step_named
 
@@ -31,14 +35,18 @@ TAIL_PIECES = {step: (_SEP + f'"NAS", "direction": "{step.direction}", '
 # The exact line shape SignalingMessage.to_json_line writes: a plain JSON
 # number of ASCII digits as time and a device_id without escapes, control
 # characters or undecodable bytes (lone surrogates, see _LogReader.block).
-# _LogReader checks each distinct tail of such a line once against it; any
-# other line, valid or not, takes the json branch of _read_line.
+# _LogReader checks the first such tail of each device against it and
+# builds the device's other tails (_KEY_PIECES); any other line, valid or
+# not, takes the json branch of _read_line.
 _WRITER_LINE = re.compile(
     r'\{"time": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?), "layer": "NAS", '
     r'"direction": "([A-Za-z]+)", '
     r'"device_id": "([^"\\\x00-\x1f\ud800-\udfff]*)", '
     r'"message": "([A-Za-z]+)"\}$')
 _STEP_DIRECTIONS = {step.name: (step, step.direction) for step in AttachStep}
+# in step order, the pieces of a writer tail key around the quoted device id
+_KEY_PIECES = [(_MARK + head[len(_SEP):], end[:-1])
+               for head, end in TAIL_PIECES.values()]
 _UNDECODED = re.compile(r"[\ud800-\udfff]")
 # the outcome of a record, from the step it ends at
 OUTCOME_AFTER = {AttachStep.AttachComplete: Outcome.Completed,
@@ -85,6 +93,11 @@ def _read_line(line: str, lineno: int) -> tuple[float, str, AttachStep]:
 # Bytes read at a time.  The reader's memory scales with it: 256 KiB keeps
 # detect's peak within 2 MB of a line-at-a-time reader.
 _BLOCK_BYTES = 1 << 18
+# Bytes of log whose lines make one read unit (log_units): read_logs' two
+# processes each claim the next unit, so neither idles while the other
+# reads.  In paired detect-mixed runs 2 MiB beat 4 MiB in 7 of 10 and
+# tied 8 MiB, whose fewer units balance worse on smaller logs.
+_UNIT_BYTES = 1 << 21
 
 
 def _head_layouts() -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -161,33 +174,103 @@ def _one_pass(body: bytes) -> list[bytes] | None:
     return pieces if len(pieces) == 2 * seps + 1 else None
 
 
-class _LogReader:
-    """The rules of parse_logs over a log fed to `block` a run of whole
-    lines at a time, keeping the lines of the steps in `keep`.
+def _rules(step: np.ndarray, time: np.ndarray, prev_step: np.ndarray,
+           prev_time: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(closes, opens, truncated, broken) of lines whose device's previous
+    line has `prev_step` (-1 where there is none) and `prev_time`."""
+    closes = step <= prev_step
+    opens = closes | (prev_step < 0)
+    truncated = closes & ~_ENDS_RECORD[prev_step]
+    broken = truncated | (opens & (step != 0)) | (~opens & (time < prev_time))
+    return closes, opens, truncated, broken
+
+
+def _broken(device_id: str, step: int, prev_step: int, truncated: bool,
+            line: int, prev_line: int) -> ParseError:
+    """The ParseError of a line that _rules finds broken."""
+    if truncated:
+        return ParseError(f"record for {device_id} truncated at "
+                          f"{AttachStep(prev_step).name}", prev_line)
+    if prev_step < 0 or step <= prev_step:
+        return ParseError(f"record for {device_id} starts at "
+                          f"{AttachStep(step).name}", line)
+    return ParseError(f"time went backwards for {device_id}", line)
+
+
+class _Devices:
+    """Device ids by number, and per device the state the record rules
+    carry past its lines: the step, time and line number of its last line,
+    and the line its first record closed at; with the lines read and the
+    lines kept."""
+
+    def __init__(self, ids: list[str]):
+        self.ids = ids  # by device number
+        self._start()
+
+    def _start(self) -> None:
+        n = len(self.ids)
+        self.last_step = np.full(n, -1)      # -1 before the device's first line
+        self.last_time = np.zeros(n)
+        self.last_line = np.zeros(n, np.int64)
+        self.first_close = np.full(n, _NEVER)
+        self.lines = 0
+        # (device, step, time, gap) of the kept lines, a run of lines at a time
+        self.kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                      np.zeros(0), np.zeros(0))]
+
+    def _grow(self) -> None:
+        """Give the devices numbered since the state's arrays were made
+        the state of a device not yet seen."""
+        grow = len(self.ids) - self.last_step.size
+        if grow > 0:
+            self.last_step = np.append(self.last_step, np.full(grow, -1))
+            self.last_time = np.append(self.last_time, np.zeros(grow))
+            self.last_line = np.append(self.last_line, np.zeros(grow, np.int64))
+            self.first_close = np.append(self.first_close,
+                                         np.full(grow, _NEVER))
+
+
+class _Unit(NamedTuple):
+    """What a unit's lines leave for _Merge, in its reader's device numbers
+    and with lines numbered from the unit's first.
+
+    `lines` were read before `error`, the first Exception the unit met
+    (None if it met none).  `first` is (device, step, time, line, slot)
+    of each device's first line in the unit, whose record rules are left
+    unchecked: slot is its index in `kept`, or -1.  `last` is (device,
+    step, time, line, first close) of each device the unit saw, as its
+    last line left them; the first close is the line its first record
+    closed at after its first line, or _NEVER.  `kept` is (device, step,
+    time, gap) of the kept lines, gap NaN at a first line.
+    """
+    lines: int
+    error: Exception | None
+    first: tuple[np.ndarray, ...]
+    last: tuple[np.ndarray, ...]
+    kept: tuple[np.ndarray, ...]
+
+
+class _LogReader(_Devices):
+    """The rules of parse_logs over a unit of a log at a time (`unit`),
+    fed to `block` a run of whole lines at a time, keeping the lines of
+    the steps in `keep`.
 
     Per block, a line in writer shape costs one dict lookup of its tail,
     and its time, in the lattice form simulate writes, is converted with
     the others of the block (_head_times); every other line goes through
-    _read_line.  The record rules are checked as masks over each line
-    and the previous line of its device.  Across blocks only per-device
-    state is carried: the step, time and line number of its last line,
-    and the line its first record closed at.
+    _read_line.  The record rules are checked as masks over each line and
+    the previous line of its device, except at a device's first line in
+    the unit: its previous line may lie in an earlier unit, so _Merge
+    checks it.  The device numbers and tails serve every unit the reader
+    reads, of any log; the per-device state starts afresh with each unit.
     """
 
     def __init__(self, keep):
-        self.keep = np.isin(np.arange(len(AttachStep)), list(keep))
-        self.ids: list[str] = []             # by device number
+        super().__init__([])
         self.numbers: dict[str, int] = {}
+        self.keep = np.isin(np.arange(len(AttachStep)), list(keep))
         self.tails: dict[bytes, int] = {}    # tail -> 16 * device + step
-        self.last_step = np.full(0, -1)      # -1 before the device's first line
-        self.last_time = np.zeros(0)
-        self.last_line = np.zeros(0, np.int64)
-        self.first_close = np.zeros(0, np.int64)
-        self.lines = 0
         self.digits = np.zeros(0)            # _head_times' buffer, grown
-        # (device, step, time, gap) of the kept lines, a block at a time
-        self.kept = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                      np.zeros(0), np.zeros(0))]
 
     def _device(self, device_id: str) -> int:
         number = self.numbers.setdefault(device_id, len(self.ids))
@@ -197,7 +280,8 @@ class _LogReader:
 
     def _learn(self, key: bytes | None) -> int:
         """The code of a tail key not in `tails`, checked by _WRITER_LINE
-        and the step/direction rule; -1 where it is not a writer tail."""
+        and the step/direction rule; -1 where it is not a writer tail.  A
+        writer tail puts the tails of its device's every step in `tails`."""
         if key is None or not key.startswith(_MARK):
             return -1
         fast = _WRITER_LINE.match('{"time": 0, "layer": '
@@ -208,8 +292,13 @@ class _LogReader:
         step, expected = _STEP_DIRECTIONS.get(message, (None, None))
         if direction != expected:
             return -1
-        self.tails[key] = code = 16 * self._device(device_id) + step
-        return code
+        # the device's tails of every step, in the one form _WRITER_LINE
+        # takes for its id: the other steps' are learnt without a match
+        quoted = b'"' + device_id.encode() + b'"'
+        device = 16 * self._device(device_id)
+        for code, (head, end) in enumerate(_KEY_PIECES, device):
+            self.tails[head + quoted + end] = code
+        return device + step
 
     def _codes(self, keys: list) -> np.ndarray:
         """16 * device + step of each tail key; -1 where it is not a writer
@@ -220,7 +309,9 @@ class _LogReader:
         for i in np.flatnonzero(codes < 0).tolist():
             key = keys[i]
             if key not in learnt:
-                learnt[key] = self._learn(key)
+                # learnt since the lookup, with another tail of its device
+                code = self.tails.get(key)
+                learnt[key] = self._learn(key) if code is None else code
             codes[i] = learnt[key]
         return codes
 
@@ -229,6 +320,87 @@ class _LogReader:
         if self.digits.size < 33 * len(heads):
             self.digits = np.empty(33 * len(heads))
         return _head_times(heads, self.digits)
+
+    def unit(self, path: str | Path, start: int, stop: int | None) -> _Unit:
+        """The lines of the log at `path` that start in bytes [start, stop)
+        (to its end where stop is None; see log_units), read as a _Unit
+        that keeps the first Exception met instead of raising it."""
+        self._start()
+        self.error = None
+        self.count = 0  # kept lines
+        self.first = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                       np.zeros(0), np.zeros(0, np.int64),
+                       np.zeros(0, np.int64))]
+        try:
+            self._read(path, start, stop)
+        except Exception as exc:
+            self.error = exc
+        seen = np.flatnonzero(self.last_line > 0)
+        return _Unit(self.lines, self.error,
+                     tuple(map(np.concatenate, zip(*self.first))),
+                     (seen, self.last_step[seen], self.last_time[seen],
+                      self.last_line[seen], self.first_close[seen]),
+                     tuple(map(np.concatenate, zip(*self.kept))))
+
+    def _read(self, path: str | Path, start: int, stop: int | None) -> None:
+        """Feed `block` the unit's lines until they end or one is broken.
+
+        The unit runs from the byte after the first line feed at or after
+        `start` (from byte 0 where start is 0) through the first line feed
+        at or after `stop`, so units meet at line feeds: a \\r\\n stays
+        whole, a line goes with the unit it starts in however long it is,
+        and a log whose lines end in a lone \\r is its first unit.  Lines
+        end as in text mode: at a line feed, a carriage return or both,
+        and the last line of the log needs no line end.
+        """
+        with Path(path).open("rb") as f:
+            if start:
+                f.seek(start)
+                skipped = f.readline(-1 if stop is None else stop - start)
+                if not skipped.endswith(b"\n"):
+                    return  # no line starts in [start, stop)
+                start += len(skipped)
+            left = math.inf
+            if stop is not None:
+                f.seek(stop)
+                while line := f.readline(_BLOCK_BYTES):
+                    stop += len(line)
+                    if line.endswith(b"\n"):
+                        break
+                left = stop - start
+                f.seek(start)
+            pending: list[bytes] = []  # the unit after its last line end
+            # one buffer a unit, read into and searched in place; byte 0
+            # holds a \r held back from the last read as maybe half a \r\n
+            buffer = bytearray(_BLOCK_BYTES + 1)
+            view = memoryview(buffer)
+            held = 0
+            while self.error is None:
+                got = f.readinto(view[held:held + min(_BLOCK_BYTES, left)])
+                left -= got
+                size = held + got
+                held = int(got > 0 and buffer[size - 1] == ord("\r"))
+                size -= held
+                if buffer.find(b"\r", 0, size) >= 0:  # line ends as line feeds
+                    text = bytes(view[:size]).replace(b"\r\n", b"\n").replace(
+                        b"\r", b"\n")
+                    size = len(text)
+                    view[:size] = text
+                    # freed before the join: held over it, the copy took a
+                    # read of a 30 MB \r\n log from 0.6k to 2.7k page faults
+                    del text
+                # only this read is searched, so a long line costs its length
+                cut = buffer.rfind(b"\n", 0, size) + 1
+                if cut:  # one copy: the block is joined from a view of `buffer`
+                    self.block(b"".join([*pending, view[:cut]]))
+                    pending = []
+                pending.append(bytes(view[cut:size]))
+                if held:
+                    buffer[0] = ord("\r")
+                if not got:
+                    if any(pending):
+                        self.block(b"".join(pending) + b"\n")
+                    return
 
     def block(self, body: bytes) -> None:
         """Read `body`, whole lines each ended by a line feed."""
@@ -264,26 +436,23 @@ class _LogReader:
                 break
             device[i] = self._device(device_id)
         self._check(device[:n], step[:n], time[:n])
-        if error is not None:
-            raise error
+        self.error = self.error or error
         self.lines += n
 
     def _check(self, device: np.ndarray, step: np.ndarray,
                time: np.ndarray) -> None:
-        """Check the record rules on the next lines of the log, then carry
-        each device's state past them and keep the lines asked for."""
+        """Check the record rules on the next lines of the unit, but at
+        each device's first line in it, then carry each device's state past
+        them and keep the lines asked for.  At the first broken line, only
+        the lines before it are taken, and its error is kept."""
         n = device.size
         if not n:
             return
-        grow = len(self.ids) - self.last_step.size
-        if grow > 0:
-            self.last_step = np.append(self.last_step, np.full(grow, -1))
-            self.last_time = np.append(self.last_time, np.zeros(grow))
-            self.last_line = np.append(self.last_line, np.zeros(grow, np.int64))
-            self.first_close = np.append(self.first_close,
-                                         np.full(grow, _NEVER))
+        self._grow()
         lineno = np.arange(self.lines + 1, self.lines + n + 1)
-        order = np.argsort(device, kind="stable")
+        # numpy sorts 16-bit keys by radix, several times faster
+        order = np.argsort(device.astype(np.uint16) if len(self.ids) <= 1 << 16
+                           else device, kind="stable")
         same = device[order[1:]] == device[order[:-1]]
         before = np.full(n, -1)
         before[order[1:][same]] = order[:-1][same]
@@ -291,36 +460,86 @@ class _LogReader:
         prev_step = np.where(inner, step[before], self.last_step[device])
         prev_time = np.where(inner, time[before], self.last_time[device])
         prev_line = np.where(inner, lineno[before], self.last_line[device])
-
-        closes = step <= prev_step
-        opens = closes | (prev_step < 0)
-        truncated = closes & ~_ENDS_RECORD[prev_step]
-        bad = truncated | (opens & (step != 0)) | (~opens & (time < prev_time))
-        if bad.any():
-            i = int(bad.argmax())
-            device_id = self.ids[device[i]]
-            if truncated[i]:
-                raise ParseError(
-                    f"record for {device_id} truncated at "
-                    f"{AttachStep(int(prev_step[i])).name}", int(prev_line[i]))
-            if opens[i]:
-                raise ParseError(f"record for {device_id} starts at "
-                                 f"{AttachStep(int(step[i])).name}", int(lineno[i]))
-            raise ParseError(f"time went backwards for {device_id}",
-                             int(lineno[i]))
+        first = prev_line == 0
+        closes, opens, truncated, broken = _rules(step, time, prev_step,
+                                                  prev_time)
+        broken &= ~first
+        if broken.any():
+            i = int(broken.argmax())
+            self._check(device[:i], step[:i], time[:i])
+            self.error = _broken(self.ids[device[i]], int(step[i]),
+                                 int(prev_step[i]), bool(truncated[i]),
+                                 int(lineno[i]), int(prev_line[i]))
+            return
 
         closing = np.flatnonzero(closes)
-        closing = closing[self.first_close[device[closing]] == _NEVER]
-        if closing.size:
-            numbers, first = np.unique(device[closing], return_index=True)
-            self.first_close[numbers] = lineno[closing[first]]
+        np.minimum.at(self.first_close, device[closing], lineno[closing])
         final = order[np.append(~same, True)]
         self.last_step[device[final]] = step[final]
         self.last_time[device[final]] = time[final]
         self.last_line[device[final]] = lineno[final]
-        kept = self.keep[step]
-        self.kept.append((device[kept], step[kept], time[kept],
-                          np.where(opens, math.nan, time - prev_time)[kept]))
+        kept = np.flatnonzero(self.keep[step])
+        gap = time[kept] - prev_time[kept]
+        gap[opens[kept]] = math.nan
+        self.kept.append((device[kept], step[kept], time[kept], gap))
+        if first.any():
+            first = np.flatnonzero(first)
+            slot = np.where(self.keep[step[first]],
+                            np.searchsorted(kept, first) + self.count, -1)
+            self.first.append((device[first], step[first], time[first],
+                               lineno[first], slot))
+        self.count += kept.size
+
+
+class _Merge(_Devices):
+    """A log's units merged in file order, in the device numbers of the
+    reader whose `ids` it shares: the state parse_logs's rules leave after
+    each, and the kept lines."""
+
+    def add(self, unit: _Unit, number: np.ndarray | None = None) -> None:
+        """Take the log's next unit, read by the reader whose ids this
+        merge shares, or by one whose device numbers `number` maps to
+        them.
+
+        Each device's first line in the unit is checked against the state
+        the earlier units left; the first broken one, or else the unit's
+        error, is raised, so errors come in file order.  Otherwise those
+        lines get their gaps and first closes, and the unit's kept lines
+        and state are adopted.
+        """
+        self._grow()
+        device, step, time, line, slot = unit.first
+        seen, last_step, last_time, last_line, first_close = unit.last
+        kept_device, kept_step, kept_time, gap = unit.kept
+        if number is not None:
+            device, seen, kept_device = (number[device], number[seen],
+                                         number[kept_device])
+        line = line + self.lines
+        prev_step = self.last_step[device]
+        prev_time = self.last_time[device]
+        closes, opens, truncated, broken = _rules(step, time, prev_step,
+                                                  prev_time)
+        if broken.any():
+            i = int(broken.argmax())
+            raise _broken(self.ids[device[i]], int(step[i]), int(prev_step[i]),
+                          bool(truncated[i]), int(line[i]),
+                          int(self.last_line[device[i]]))
+        if isinstance(unit.error, ParseError):
+            raise ParseError(unit.error.args[0], unit.error.line + self.lines)
+        if unit.error is not None:
+            raise unit.error
+
+        closing = closes & (self.first_close[device] == _NEVER)
+        self.first_close[device[closing]] = line[closing]
+        later = (self.first_close[seen] == _NEVER) & (first_close != _NEVER)
+        self.first_close[seen[later]] = first_close[later] + self.lines
+        self.last_step[seen] = last_step
+        self.last_time[seen] = last_time
+        self.last_line[seen] = last_line + self.lines
+        at = slot >= 0
+        gap[slot[at]] = np.where(opens, math.nan, time - prev_time)[at]
+        self.kept.append((kept_device, kept_step, kept_time, gap))
+        self.lines += unit.lines
 
     def finish(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray]:
@@ -347,44 +566,62 @@ class _LogReader:
             time, gap
 
 
+def log_units(path: str | Path) -> list[tuple[int, int | None]]:
+    """The byte ranges [start, stop) of the log at `path` whose lines make
+    its read units (see _LogReader._read): _UNIT_BYTES each, the last one
+    open-ended.  A log no longer than one unit is one unit, and so is one
+    whose size cannot be read: reading that unit raises the error."""
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        size = 0
+    starts = range(0, size, _UNIT_BYTES) or [0]
+    return [(start, start + _UNIT_BYTES if start + _UNIT_BYTES < size else None)
+            for start in starts]
+
+
 def read_log(path: str | Path, keep) -> tuple[list[str], np.ndarray,
                                               np.ndarray, np.ndarray,
                                               np.ndarray]:
-    """_LogReader.finish of the log at `path`, keeping the steps in `keep`.
-
-    Lines end as in text mode: at a line feed, a carriage return or both,
-    and the last line needs no line end.
-    """
+    """_Merge.finish of the log at `path`, read a unit at a time, keeping
+    the steps in `keep`."""
     reader = _LogReader(keep)
-    pending: list[bytes] = []  # the log after its last line end, in pieces
-    # one buffer a call, read into and searched in place; byte 0 holds a
-    # \r held back from the last read as maybe the first half of a \r\n
-    buffer = bytearray(_BLOCK_BYTES + 1)
-    view = memoryview(buffer)
-    held = 0
-    with Path(path).open("rb") as f:
-        while True:
-            got = f.readinto(view[held:held + _BLOCK_BYTES])
-            size = held + got
-            held = int(got > 0 and buffer[size - 1] == ord("\r"))
-            size -= held
-            if buffer.find(b"\r", 0, size) >= 0:  # line ends as line feeds
-                text = bytes(view[:size]).replace(b"\r\n", b"\n").replace(
-                    b"\r", b"\n")
-                size = len(text)
-                view[:size] = text
-                # freed before the join: held over it, the copy took a
-                # read of a 30 MB \r\n log from 0.6k to 2.7k page faults
-                del text
-            # only this read is searched, so a long line costs its length
-            cut = buffer.rfind(b"\n", 0, size) + 1
-            if cut:  # one copy: the block is joined from a view of `buffer`
-                reader.block(b"".join([*pending, view[:cut]]))
-                pending = []
-            pending.append(bytes(view[cut:size]))
-            if held:
-                buffer[0] = ord("\r")
-            if not got:
-                if any(pending):
-                    reader.block(b"".join(pending) + b"\n")
-                return reader.finish()
+    merged = _Merge(reader.ids)
+    for start, stop in log_units(path):
+        merged.add(reader.unit(path, start, stop))
+    return merged.finish()
+
+
+def read_logs(paths: list[str | Path], keep) -> list[tuple]:
+    """read_log of each of `paths`, read by this process and a forked
+    child (forkjoin.fork_join): each claims the next unit not yet read,
+    those of the first log first, and numbers devices and learns tails
+    once over all of them.  This process then merges the units in file
+    order, log by log, so the error raised is the first in file order of
+    the first log that has one, as when the logs are read in turn."""
+    spans = [log_units(path) for path in paths]
+    units = [(path, span) for path, log in zip(paths, spans) for span in log]
+    reader = _LogReader(keep)
+    done: dict[int, _Unit] = {}
+
+    def read(i: int) -> None:
+        path, (start, stop) = units[i]
+        done[i] = reader.unit(path, start, stop)
+
+    def held() -> tuple[list[str], dict[int, _Unit]]:
+        return reader.ids, done
+
+    (_, mine), (their_ids, theirs) = forkjoin.fork_join(
+        held, held, units=[partial(read, i) for i in range(len(units))])
+    number = np.array([reader._device(i) for i in their_ids], np.int64)
+    out, first = [], 0
+    for log in spans:
+        merged = _Merge(reader.ids)
+        for i in range(first, first + len(log)):
+            if i in mine:
+                merged.add(mine[i])
+            else:
+                merged.add(theirs[i], number)
+        first += len(log)
+        out.append(merged.finish())
+    return out

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DegenerateInput, EmptyWindow, MalformedRecord
-from .core import sorted_median
 from .protocol import AttachRecord, AttachStep, step_named
 
 
@@ -57,16 +56,27 @@ class LatencyStats:
             raise DegenerateInput("latency mean or std overflows a float")
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # __post_init__ checks
     def from_samples(cls, values: Sequence[float]) -> "LatencyStats":
-        arr = np.asarray(list(values), dtype=float)
+        arr = np.asarray(values if isinstance(values, np.ndarray)
+                         else list(values), dtype=float)
         if arr.size == 0:
             raise EmptyWindow("no samples")
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        ordered = np.sort(arr)
-        return cls(n=int(arr.size), mean=float(np.mean(arr)), std=std,
-                   median=sorted_median(ordered), min=float(ordered[0]),
-                   max=float(ordered[-1]))
+        return cls(*cls.row_fields(arr.reshape(1, -1))[0])
+
+    @staticmethod
+    @np.errstate(over="ignore", invalid="ignore")  # __post_init__ checks
+    def row_fields(rows: np.ndarray) -> list[tuple]:
+        """The fields of the stats of each row of a (k, n) array, n >= 1,
+        as from_samples of the row gives them, bit for bit: numpy's mean,
+        std and sort along a row are its own over the row alone."""
+        n = rows.shape[1]
+        std = np.std(rows, axis=1, ddof=1) if n > 1 else np.zeros(len(rows))
+        ordered = np.sort(rows, axis=1)
+        mid = ordered[:, n // 2]
+        median = mid if n % 2 else (ordered[:, n // 2 - 1] + mid) / 2
+        return list(zip([n] * len(rows), np.mean(rows, axis=1).tolist(),
+                        std.tolist(), median.tolist(), ordered[:, 0].tolist(),
+                        ordered[:, -1].tolist()))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import forkjoin, monitor
+from . import forkjoin, logformat, monitor
 from .aka import SubscriberKey, algorithm_named
 from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
 from .core import (
@@ -406,9 +406,9 @@ def _write_logs(path: Path, devices: list[DeviceAttaches]) -> None:
         codes = len(tails) + np.arange(len(run) * len(pieces))
         key[lo:hi] = np.broadcast_to(codes.reshape(len(run), 1, -1),
                                      sent.shape)[sent]
-        # ids are ASCII: json.dumps escapes the rest
-        tails += [head + json.dumps(dev.device_id).encode() + end
-                  for dev in run for head, end in pieces]
+        for dev in run:  # ids are ASCII: json.dumps escapes the rest
+            quoted = json.dumps(dev.device_id).encode()
+            tails += [head + quoted + end for head, end in pieces]
         lo = hi
     tails = np.array(tails, dtype=object)
     # A device's times strictly increase (steps take at least 0.1 ms and
@@ -639,8 +639,8 @@ def run_detection(logs_path: str | Path, baseline_path: str | Path,
     """Score every device in the logs against the baseline population.
 
     Each log is read once, keeping only each device's authentication
-    latencies. The baseline log is read in a forked child while this
-    process reads the test log; an error in the test log wins.  The JSON
+    latencies: this process and a forked child share the units of both
+    logs (logformat.read_logs), and an error in the test log wins.  The JSON
     report goes beside the CSV one, so `report_path` must not end in .json,
     and neither report may be an input log.
     """
@@ -653,24 +653,37 @@ def run_detection(logs_path: str | Path, baseline_path: str | Path,
                           f"JSON report's; give the CSV report another")
     _refuse_overwrite((report_path, json_path), logs_path, baseline_path)
     auth = AttachStep.AuthenticationResponse
-    device_latencies, baseline_latencies = forkjoin.fork_join(
-        lambda: _step_latencies(logs_path, auth),
-        lambda: _step_latencies(baseline_path, auth))
-    baseline_values = [value for values in baseline_latencies.values()
-                       for value in values]
-    if not baseline_values:
+    (ids, device, _, _, gap), (_, pooled, _, _, pool) = logformat.read_logs(
+        [logs_path, baseline_path], (auth,))
+    pool = pool[np.argsort(pooled, kind="stable")]  # by device, in log order
+    pool = pool[~np.isnan(pool)]
+    if not pool.size:
         raise EmptyWindow("baseline logs contain no authentication samples")
-    baseline = monitor.LatencyStats.from_samples(baseline_values)
+    baseline = monitor.LatencyStats.from_samples(pool)
+
+    # each device's samples in log order, then the stats of the devices
+    # with n samples from one (devices, n) array
+    sampled = ~np.isnan(gap)
+    device, gap = device[sampled], gap[sampled]
+    samples = gap[np.argsort(device, kind="stable")]
+    counts = np.bincount(device, minlength=len(ids))
+    starts = np.cumsum(counts) - counts
+    fields = {}
+    sizes = np.flatnonzero(np.bincount(counts))  # np.unique imports numpy.ma
+    for n in sizes[sizes > 1].tolist():
+        chosen = np.flatnonzero(counts == n)
+        fields.update(zip(chosen.tolist(), monitor.LatencyStats.row_fields(
+            samples[starts[chosen, None] + np.arange(n)])))
 
     verdicts: list[Verdict] = []
     skipped: list[str] = []
-    for device_id in sorted(device_latencies):
-        values = device_latencies[device_id]
-        if len(values) < 2:
-            skipped.append(device_id)
+    for number in sorted(range(len(ids)), key=ids.__getitem__):
+        if number not in fields:
+            skipped.append(ids[number])
             continue
-        stats = monitor.LatencyStats.from_samples(values)
-        verdicts.append(classify(stats, baseline, policy, device_id=device_id))
+        stats = monitor.LatencyStats(*fields[number])
+        verdicts.append(classify(stats, baseline, policy,
+                                 device_id=ids[number]))
 
     _write_detection_reports(report_path, json_path, verdicts, skipped,
                              baseline, policy)

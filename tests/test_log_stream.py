@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from collections.abc import Iterator
@@ -670,3 +671,219 @@ def test_detect_on_mutated_logs_exits_with_documented_errors(log_pair, data):
                           Path(tmp) / "report.csv")
         except (ParseError, DegenerateInput, EmptyWindow):
             assert rc == 1
+
+
+# Read units: read_log and run_detection cut a log into units of whole
+# lines, read apart and merged in file order; any cut reads as one unit.
+
+def _read_arrays(path, keep) -> tuple:
+    """read_log of the log at `path` as comparable values, or its error."""
+    try:
+        ids, device, step, time, gap = logformat.read_log(path, keep)
+    except ParseError as err:
+        return str(err), err.line
+    return (ids, device.tolist(), step.tolist(), time.tobytes(),
+            gap.tobytes())
+
+
+def _reads_alike_in_units(data: bytes, unit: int, block: int = 1 << 18):
+    """Read `data` in units of `unit` bytes and check it against one unit,
+    keeping every step and the auth step alone; the one-unit reading."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(data)
+        with mock.patch.object(logformat, "_BLOCK_BYTES", block):
+            readings = []
+            for size in (1 << 40, unit):
+                with mock.patch.object(logformat, "_UNIT_BYTES", size):
+                    assert len(logformat.log_units(path)) == \
+                        max(1, -(-len(data) // size))
+                    readings.append([_read_arrays(path, keep)
+                                     for keep in (AttachStep, (AUTH,))])
+        assert readings[1] == readings[0]
+        return readings[0][0]
+
+
+_UNITS = st.integers(64, 4096)
+
+
+@settings(max_examples=20)
+@given(_UNITS, _BLOCKS)
+def test_units_read_as_one_unit(sample_log, unit, block):
+    lines, records, _ = sample_log
+    ids, *_ = _reads_alike_in_units(_sample_bytes(lines), unit, block)
+    assert ids == list(records)
+
+
+@given(st.data())
+def test_units_read_mutated_lines_as_one_unit(sample_log, data):
+    lines, _, _ = sample_log
+    index = data.draw(st.integers(0, len(lines) - 1))
+    field, value = data.draw(st.sampled_from(_MUTATIONS))
+    fields = dict(zip(_KEYS, re.fullmatch(
+        r'\{"time": (.*), "layer": (.*), "direction": (.*), '
+        r'"device_id": (.*), "message": (.*)\}', lines[index]).groups()))
+    if value == "flip":
+        value = '"Uplink"' if fields["direction"] == '"Downlink"' \
+            else '"Downlink"'
+    fields[field] = value
+    changed = list(lines)
+    changed[index] = _line_with(fields, _KEYS)
+    result = _reads_alike_in_units(_sample_bytes(changed), data.draw(_UNITS))
+    assert result[1] == index + 1
+
+
+@given(st.data())
+def test_units_read_byte_mutations_as_one_unit(sample_log, data):
+    """Dropped, duplicated and swapped lines (truncated and backwards
+    records), deleted bytes and inserted NUL, 0xff, CR and LF."""
+    lines, _, _ = sample_log
+    mutated = data.draw(_byte_mutations(_sample_bytes(lines)))
+    _reads_alike_in_units(mutated, data.draw(_UNITS), data.draw(_BLOCKS))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r", "\n\r\n"])
+@pytest.mark.parametrize("unit", [64, 97, 1000])
+def test_units_read_line_endings_as_one_unit(sample_log, ending, unit):
+    lines, records, _ = sample_log
+    if ending == "\n\r\n":  # mixed: every other line ends in \r\n
+        text = "".join(line + ("\r\n" if i % 2 else "\n")
+                       for i, line in enumerate(lines))
+    else:
+        text = ending.join(lines) + ending
+    for data in (text.encode(), text.rstrip("\r\n").encode()):
+        _reads_alike_in_units(data, unit, 64)
+
+
+def test_lone_cr_log_is_its_first_unit(sample_log, tmp_path):
+    """Units meet at line feeds only, so a log whose lines end in a lone
+    \r is read by its first unit and the others read no line."""
+    lines, _, _ = sample_log
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(_sample_bytes(lines).replace(b"\n", b"\r"))
+    reader = logformat._LogReader(AttachStep)
+    with mock.patch.object(logformat, "_UNIT_BYTES", 256):
+        units = [reader.unit(path, start, stop)
+                 for start, stop in logformat.log_units(path)]
+    assert len(units) > 10
+    assert units[0].lines == len(lines) and units[0].error is None
+    assert [unit.lines for unit in units[1:]] == [0] * (len(units) - 1)
+
+
+@pytest.mark.parametrize("unit", [64, 1000])
+def test_units_read_blank_lines_bom_and_slow_lines_as_one_unit(sample_log,
+                                                               unit):
+    lines, _, _ = sample_log
+    data = _sample_bytes(lines)
+    assert _reads_alike_in_units(b"\xef\xbb\xbf" + data, unit) == \
+        ("line 1: invalid JSON (Expecting value)", 1)
+    blank = _sample_bytes(lines[:30] + [""] + lines[30:])
+    assert _reads_alike_in_units(blank, unit) == ("line 31: blank line", 31)
+    # lines that take the json path: reordered keys, escapes, exponents
+    slow = [(_REWRITES[i % 4](line) if i % 3 == 0 else line)
+            for i, line in enumerate(lines)]
+    assert _reads_alike_in_units(_sample_bytes(slow), unit) == \
+        _reads_alike_in_units(data, unit)
+
+
+def test_line_longer_than_a_unit_goes_with_the_unit_it_starts_in(sample_log):
+    """A 40 KiB line read in 1 KiB units fails at its own line number, and
+    lines after it are read as in one unit."""
+    lines, _, _ = sample_log
+    array = "[" + ", ".join(lines * 4) + "]"
+    assert len(array) > 40 * 1024
+    keys = f"expected exactly keys {sorted(logformat._LOG_KEYS)}"
+    for at in (0, 17):
+        changed = lines[:at] + [array] + lines[at:]
+        assert _reads_alike_in_units(_sample_bytes(changed), 1024, 512) == \
+            (f"line {at + 1}: {keys}", at + 1)
+
+
+def test_cut_inside_an_open_remote_attach(tmp_path):
+    """A unit starts between a remote SIM's AuthenticationRequest and its
+    AuthenticationResponse many lines later: the response's latency is
+    the one read in one unit."""
+    cfg = parse_config({"version": 1, "seed": 3, "attaches_per_device": 3,
+                        "day_span_ms": 60_000.0, "fleet": [
+                            {"profile": "FairPhone5G", "count": 100},
+                            {"profile": "SMBHyb_rem", "count": 1}]})
+    path = run_scenario(cfg, tmp_path / "run").logs_path
+    lines = path.read_bytes().splitlines(keepends=True)
+    rows = [json.loads(line) for line in lines]
+    remote = [i for i, row in enumerate(rows)
+              if row["device_id"] == "SMBHyb_rem-000"]
+    request = next(i for i in remote
+                   if rows[i]["message"] == "AuthenticationRequest")
+    response = remote[remote.index(request) + 1]
+    assert rows[response]["message"] == "AuthenticationResponse"
+    assert response - request > 20
+    cut = sum(map(len, lines[:(request + response) // 2]))
+    with mock.patch.object(logformat, "_UNIT_BYTES", cut):
+        assert logformat.log_units(path)[1][0] == cut
+        units = logformat.read_log(path, (AUTH,))
+    whole = logformat.read_log(path, (AUTH,))
+    for a, b in zip(units[1:], whole[1:]):
+        assert a.tobytes() == b.tobytes()
+    assert units[0] == whole[0]
+    latency = rows[response]["time"] - rows[request]["time"]
+    auth = _step_latencies(path, AUTH)["SMBHyb_rem-000"]
+    assert auth[0] == latency > 100.0
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_detection_reports_do_not_depend_on_units(tmp_path, monkeypatch,
+                                                  log_pair, fork):
+    """run_detection over units of 64 bytes to 4 KiB, forked and inline,
+    writes the reports of one unit per log, and raises its errors."""
+    paths = [tmp_path / name for name in ("test.jsonl", "base.jsonl")]
+    for path, raw in zip(paths, log_pair):
+        path.write_bytes(raw)
+    # the test log without its first line, an AttachRequest, so a later
+    # line of that device starts a record; the baseline with line 9 not
+    # JSON
+    test_rows, base_rows = (raw.splitlines(keepends=True) for raw in log_pair)
+    assert b'"AttachRequest"' in test_rows[0]
+    broken = [tmp_path / name for name in ("test-bad.jsonl", "base-bad.jsonl")]
+    broken[0].write_bytes(b"".join(test_rows[1:]))
+    broken[1].write_bytes(b"".join(base_rows[:8] + [b"{not json}\n"]
+                                   + base_rows[9:]))
+
+    def reports(unit, name):
+        with mock.patch.object(logformat, "_UNIT_BYTES", unit):
+            result = run_detection(*paths, DetectPolicy(), tmp_path / name)
+            with pytest.raises(ParseError) as err:
+                run_detection(*broken, DetectPolicy(), tmp_path / "bad.csv")
+            with pytest.raises(ParseError) as base_err:
+                run_detection(paths[0], broken[1], DetectPolicy(),
+                              tmp_path / "bad.csv")
+        return (result.csv_path.read_bytes(), result.json_path.read_bytes(),
+                (str(err.value), err.value.line),
+                (str(base_err.value), base_err.value.line))
+
+    whole = reports(1 << 40, "whole.csv")
+    assert "starts at" in whole[2][0] and "invalid JSON" in whole[3][0]
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    for unit in (64, 300, 4096):
+        assert reports(unit, f"units-{unit}.csv") == whole
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_detection_error_in_the_test_log_comes_before_a_missing_baseline(
+        tmp_path, monkeypatch, log_pair, fork):
+    """A unit keeps what it raised for the merge, so a broken record in the
+    test log, found only when its 256-byte units are merged, is raised
+    before the baseline's missing file, and a missing test log is raised
+    before anything in the baseline."""
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    test = tmp_path / "test.jsonl"
+    # without its first line, an AttachRequest: a later line starts a record
+    test.write_bytes(b"".join(log_pair[0].splitlines(keepends=True)[1:]))
+    missing = tmp_path / "missing.jsonl"
+    with mock.patch.object(logformat, "_UNIT_BYTES", 256):
+        with pytest.raises(ParseError, match="starts at"):
+            run_detection(test, missing, DetectPolicy(), tmp_path / "r.csv")
+        with pytest.raises(FileNotFoundError) as err:
+            run_detection(missing, test, DetectPolicy(), tmp_path / "r.csv")
+    assert err.value.filename == str(missing)

@@ -89,6 +89,24 @@ def test_latency_stats_validation():
         LatencyStats.from_samples([1.5e308] * 3)
 
 
+@given(st.data())
+def test_row_fields_match_from_samples_bit_for_bit(data):
+    """The stats of each row of a (k, n) array of lattice samples are those
+    of from_samples over the row alone, for n past numpy's 128-element
+    pairwise summation block, odd and even."""
+    n = data.draw(st.integers(2, 300))
+    k = data.draw(st.integers(1, 4))
+    ticks = data.draw(st.lists(st.integers(0, 2 ** 30), min_size=n * k,
+                               max_size=n * k))
+    rows = (np.array(ticks, np.int64) / 1024.0).reshape(k, n)
+    for row, fields in zip(rows, LatencyStats.row_fields(rows)):
+        assert LatencyStats(*fields) == LatencyStats.from_samples(
+            row.tolist())
+        assert np.array(fields[1:]).tobytes() == np.array(
+            [float(np.mean(row)), float(np.std(row, ddof=1)),
+             float(np.median(row)), row.min(), row.max()]).tobytes()
+
+
 def test_latency_stats_order_statistics_match_numpy():
     rng = np.random.default_rng(7)
     for n in list(range(1, 12)) + [50, 51, 400]:

@@ -998,6 +998,18 @@ def test_cli_rejects_bad_rtt_file_without_traceback(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith(f"error: {rtt} line 2: ")
 
 
+def test_cli_rejects_empty_rtt_file_naming_it(tmp_path, capsys):
+    rtt = tmp_path / "empty.txt"
+    rtt.write_bytes(b"")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with(
+        ("channels", "remote_tcp", "rtt"),
+        {"kind": "empirical", "path": str(rtt)})))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {rtt}: ")
+
+
 def test_library_config_is_checked_as_parse_config_checks_it():
     fleet = (FleetEntry("FairPhone5G", 1),)
     with pytest.raises(ConfigError, match="^channels coupled_serial: takes no "
@@ -1674,9 +1686,11 @@ def test_simulate_bytes_do_not_depend_on_which_process_runs_an_entry(
                 for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
         digests = _quickstart_digests(tmp_path / f"{mode}-quickstart")
         assert {name: digests[name] for name in pinned} == pinned, mode
-        if mode == "forked":  # _EVERY_OUTCOME's 5 entries, then 2 and 1
+        # _EVERY_OUTCOME's 5 entries, then the quick-start's 2 and 1, and
+        # its detect's 2 read units, one per log
+        if mode == "forked":
             assert parent_took == [
-                unit for n in (5, 2, 1) for unit in range(n)
+                unit for n in (5, 2, 1, 2) for unit in range(n)
                 if not _CHILD_TAKES[plan](unit)]
 
 
