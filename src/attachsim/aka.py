@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError, RngStream
+from .core import ConfigError, RngStream, require_finite
 
 KEY_LEN = 16
 RES_LEN = 8
@@ -79,6 +79,11 @@ class AuthAlgorithm:
     compute: ComputeFn
     latency_mean_ms: float = 0.0
     latency_std_ms: float = 0.0
+
+    def __post_init__(self):
+        require_finite(f"auth algorithm {self.name!r}",
+                       latency_mean_ms=self.latency_mean_ms,
+                       latency_std_ms=self.latency_std_ms)
 
     def block(self, k: SubscriberKey, rands: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:

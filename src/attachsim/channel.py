@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DataFileError, RngStream, sorted_median
+from .core import (
+    ConfigError,
+    DataFileError,
+    RngStream,
+    require_finite,
+    sorted_median,
+)
 
 COUPLED_SERIAL = "coupled_serial"  # a profile's kind with no channel
 REMOTE_TCP = "remote_tcp"
@@ -165,6 +171,8 @@ class ProcessingPhase:
             raise ConfigError(f"unknown processing site {self.site!r}")
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ConfigError("processing phase moments must be non-negative")
+        require_finite(f"{self.site} phase", mean_ms=self.mean_ms,
+                       std_ms=self.std_ms)
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,7 @@ class OnlinePenalty:
     def __post_init__(self):
         if self.mean_ms < 0 or self.std_ms < 0:
             raise ConfigError("online penalty moments must be non-negative")
+        require_finite("online", mean_ms=self.mean_ms, std_ms=self.std_ms)
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """`n` penalties, clamped at 0, in one generator call (none when
@@ -221,6 +230,8 @@ class SimChannel:
             raise ConfigError("session and packet counts must be non-negative")
         if self.retransmit_timeout_ms <= 0:
             raise ConfigError("retransmit timeout must be positive")
+        require_finite(self.kind,
+                       retransmit_timeout_ms=self.retransmit_timeout_ms)
         if not 0.0 <= self.ack_cost_ms < math.inf:
             # a negative cost would cut transfers below the two-RTT floor
             raise ConfigError("ack_cost_ms must be finite and non-negative")

@@ -67,6 +67,16 @@ def read_value(value, kind, ctx: str):
     raise ConfigError(f"{ctx}: expected {_JSON_TYPES[kind]}, got {value!r:.40}")
 
 
+def require_finite(owner: str, **values: float) -> None:
+    """ConfigError naming the first of `values` that is not a finite
+    number: read_value lets only finite ones in from JSON, and a value
+    object built in code passes no such check."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{owner} {name} must be a finite number, "
+                              f"got {value!r}")
+
+
 def read_section(raw, ctx: str, schema: dict, required=()) -> dict:
     """Checked copy of one JSON object of a config document.
 

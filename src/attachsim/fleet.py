@@ -17,7 +17,7 @@ import numpy as np
 
 from . import channel as chan
 from .aka import XOR_TEST, AuthAlgorithm, SubscriberKey
-from .core import ConfigError, RngStream, read_section
+from .core import ConfigError, RngStream, read_section, require_finite
 from .protocol import ATTACH_SEQUENCE, OPTIONAL_STEPS, AttachStep
 
 _SENSITIVITY_RANGE = (-130.0, -60.0)
@@ -60,6 +60,8 @@ class TransmissionModel:
             raise ConfigError("outlier probability must be within [0, 1]")
         if min(self.median_ms, self.sigma, self.outlier_max_ms) < 0:
             raise ConfigError("transmission moments must be non-negative")
+        require_finite("transmission", median_ms=self.median_ms,
+                       sigma=self.sigma, outlier_max_ms=self.outlier_max_ms)
 
     def sample(self, rng: RngStream) -> float:
         return float(self.draw(rng.gen, 1)[0])
@@ -105,6 +107,11 @@ class DeviceProfile:
         if any(std < 0 for _, std in (*self.step_latency.values(),
                                       (0.0, self.auth_alg.latency_std_ms))):
             raise ConfigError(f"{self.name}: a latency std is negative")
+        for step, (mean, std) in self.step_latency.items():
+            require_finite(f"{self.name} step {step.name}", mean=mean, std=std)
+        if self.calibration_target_ms is not None:
+            require_finite(self.name,
+                           calibration_target_ms=self.calibration_target_ms)
         if self.subscriber_key is None:
             # stable per-profile default key
             digest = hashlib.sha256(self.name.encode()).digest()
@@ -302,6 +309,9 @@ def channel_for(profile: DeviceProfile, overrides: dict | None = None,
     if kind == chan.COUPLED_SERIAL:
         return None
     built = chan.build_channel(kind, **kwargs)
-    if calibrate and profile.calibration_target_ms is not None:
-        built = chan.calibrate_processing(built, profile.calibration_target_ms)
-    return built
+    if not calibrate or profile.calibration_target_ms is None:
+        return built
+    try:
+        return chan.calibrate_processing(built, profile.calibration_target_ms)
+    except ConfigError as exc:
+        raise ConfigError(f"channels {kind}: {profile.name}: {exc}") from None

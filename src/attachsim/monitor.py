@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DegenerateInput, EmptyWindow, MalformedRecord
+from .core import (
+    ConfigError,
+    DegenerateInput,
+    EmptyWindow,
+    MalformedRecord,
+    require_finite,
+)
 from .protocol import AttachRecord, AttachStep, step_named
 
 
@@ -283,6 +289,7 @@ class ReauthPolicy:
             raise ConfigError("reauth count must be at least 1")
         if self.min_spacing_ms < 0:
             raise ConfigError("minimum spacing must be non-negative")
+        require_finite("reauth policy", min_spacing_ms=self.min_spacing_ms)
 
 
 def schedule_devices(policy: ReauthPolicy, day: tuple[float, float],

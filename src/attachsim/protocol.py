@@ -27,6 +27,7 @@ from .core import (
     RngStream,
     fmt_ms,
     quantize_ceil_ms,
+    require_finite,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -150,6 +151,7 @@ class NetworkConfig:
     def __post_init__(self):
         if self.auth_timer_ms <= 0:
             raise ConfigError("authentication timer must be positive")
+        require_finite("network", auth_timer_ms=self.auth_timer_ms)
 
 
 _LABELS = {step: (step.direction, step.name) for step in AttachStep}

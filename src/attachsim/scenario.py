@@ -22,7 +22,7 @@ import numpy as np
 
 from . import forkjoin, logformat, monitor
 from .aka import SubscriberKey, algorithm_named
-from .channel import CHANNEL_KINDS, COUPLED_SERIAL, SimChannel, build_channel
+from .channel import CHANNEL_KINDS, COUPLED_SERIAL, build_channel
 from .core import (
     DECIMALS,
     TIME_LIMIT_MS,
@@ -93,6 +93,9 @@ class ScenarioConfig:
     calibrate: bool = True
     channels: dict = field(default_factory=dict)
     transmission: TransmissionModel = field(default_factory=TransmissionModel)
+    # what run_scenario runs, built once here, where building checks it: the
+    # entries' profiles, env, network, policy, and each profile name's relay
+    _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fleet:
@@ -101,10 +104,9 @@ class ScenarioConfig:
             raise ConfigError("attaches_per_device must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        # the scalars run_scenario builds its parts from, checked by them
-        RadioEnvironment(self.rsrp_dbm)
-        NetworkConfig(auth_timer_ms=self.auth_timer_ms)
-        ReauthPolicy(self.attaches_per_device, self.min_spacing_ms)
+        env = RadioEnvironment(self.rsrp_dbm)
+        network = NetworkConfig(self.auth_timer_ms, self.transmission)
+        policy = ReauthPolicy(self.attaches_per_device, self.min_spacing_ms)
         if not self.day_span_ms < TIME_LIMIT_MS:
             raise ConfigError(f"day_span_ms must be below "
                               f"{TIME_LIMIT_MS:.0f}, the timestamp limit")
@@ -114,17 +116,20 @@ class ScenarioConfig:
                 f"cannot place {self.attaches_per_device} attaches "
                 f"{self.min_spacing_ms} ms apart in a {self.day_span_ms} ms "
                 f"day_span_ms")
-        # the profiles and relays run_scenario makes, made here to check them
-        _base_profiles(self.fleet)
+        profiles = _base_profiles(self.fleet)
         channels = read_section(self.channels, "channels",
                                 dict.fromkeys(CHANNEL_KINDS, dict))
         if COUPLED_SERIAL in channels:
             raise ConfigError(
                 f"channels {COUPLED_SERIAL}: takes no overrides; a coupled "
                 f"profile's auth latency comes from its step table")
-        for kind, section in channels.items():
+        for kind, section in channels.items():  # used or not, before relays
             build_channel(kind, **channel_overrides(kind, section,
                                                     f"channels {kind}"))
+        relays = {p.name: channel_for(p, self.channels.get(p.channel_kind),
+                                      calibrate=self.calibrate)
+                  for p in {p.name: p for p in profiles}.values()}
+        object.__setattr__(self, "_parts", (profiles, env, network, policy, relays))
 
 
 _PROFILE_SCHEMA = {"name": str, "steps": dict, "optional_steps": list,
@@ -260,11 +265,7 @@ def _base_profiles(fleet: tuple[FleetEntry, ...]) -> list[DeviceProfile]:
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifacts:
     """Simulate the configured fleet and write logs, records, and summary."""
-    profiles = _base_profiles(config.fleet)
-    env = RadioEnvironment(config.rsrp_dbm)
-    network = NetworkConfig(auth_timer_ms=config.auth_timer_ms,
-                            transmission=config.transmission)
-    policy = ReauthPolicy(config.attaches_per_device, config.min_spacing_ms)
+    profiles, env, network, policy, relays = config._parts
     root = RngStream(config.seed)
 
     # every device's arrays are laid out before any draw or device id,
@@ -285,23 +286,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> ScenarioArtifac
                for profile, entry_ids, entry_arrays in zip(profiles, ids,
                                                            arrays)
                for i, device_id in enumerate(entry_ids)]
-    channels: dict[str, SimChannel | None] = {}
 
     def run_entry(e: int) -> None:
         entry, profile = config.fleet[e], profiles[e]
-        name = profile.name
-        if name not in channels:
-            channels[name] = channel_for(
-                profile, config.channels.get(profile.channel_kind),
-                calibrate=config.calibrate)
         if entry.wrong_key:
             profile = replace(profile, auth_misconfigured=True)
         first = sum(prior.count for prior in config.fleet[:e])
         rngs = [root.substream(i) for i in range(first, first + entry.count)]
         starts = schedule_devices(policy, (0.0, config.day_span_ms), rngs)
         if attempt_camp(profile, env) is CampDecision.Proceed:
-            ran = run_devices(profile, channels[name], network, starts,
-                              rngs, ids[e])
+            ran = run_devices(profile, relays[profile.name], network,
+                              starts, rngs, ids[e])
         else:
             ran = [DeviceAttaches.refused(profile, policy.count, i)
                    for i in ids[e]]

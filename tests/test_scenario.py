@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attachsim
@@ -38,6 +38,8 @@ from attachsim import (
     run_scenario,
 )
 from attachsim import forkjoin, scenario
+from attachsim.aka import algorithm_named
+from attachsim.channel import OnlinePenalty, ProcessingPhase, remote_udp
 from attachsim.cli import main
 from attachsim.core import (
     DECIMALS,
@@ -50,7 +52,7 @@ from attachsim.core import (
     fmt_ms,
     lattice_repr,
 )
-from attachsim.fleet import builtin_profiles
+from attachsim.fleet import TransmissionModel, builtin_profiles
 from attachsim.monitor import compute_step_latencies, schedule_devices
 from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
 
@@ -1027,6 +1029,100 @@ def test_library_config_is_checked_as_parse_config_checks_it():
                      ctx="cfg.json")
 
 
+# SMBHyb_rem's 15 sessions of two 500 ms round trips take longer than its
+# 2122.7 ms target, so its relay cannot calibrate
+_UNCALIBRATABLE = dict(MINIMAL, fleet=[{"profile": "SMBHyb_rem", "count": 1}],
+                       channels={"remote_tcp": {"rtt": {"kind": "constant",
+                                                        "value": 500.0}}})
+_CALIBRATION_ERROR = (
+    "channels remote_tcp: SMBHyb_rem: target mean 2122.7 ms is below the "
+    "transfer-only mean 15754.5 ms plus the processing floor; lower the rtt "
+    "or session count")
+
+
+def test_uncalibratable_relay_fails_when_the_config_is_made(tmp_path):
+    def exactly(text):
+        return f"^{re.escape(text)}$"
+
+    with pytest.raises(ConfigError,
+                       match=exactly(f"cfg.json {_CALIBRATION_ERROR}")):
+        parse_config(_UNCALIBRATABLE, ctx="cfg.json")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_UNCALIBRATABLE))
+    with pytest.raises(ConfigError, match=exactly(f"{path} {_CALIBRATION_ERROR}")):
+        scenario.load_config(path)
+    with pytest.raises(ConfigError, match=exactly(_CALIBRATION_ERROR)):
+        ScenarioConfig(seed=3, fleet=(FleetEntry("SMBHyb_rem", 1),),
+                       channels=_UNCALIBRATABLE["channels"])
+    # uncalibrated, the same relay runs
+    cfg = parse_config(dict(_UNCALIBRATABLE, calibrate=False,
+                            attaches_per_device=2))
+    assert len(run_scenario(cfg, tmp_path / "out").devices) == 1
+
+
+def test_cli_uncalibratable_relay_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_UNCALIBRATABLE))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path} {_CALIBRATION_ERROR}\n"
+    assert not (tmp_path / "o").exists()
+
+
+_FAIRPHONE = builtin_profiles()["FairPhone5G"]
+_ACCEPT_STEP = AttachStep.AttachAccept
+# per case, the field its error names and the constructor call
+_NON_FINITE = {
+    "transmission_median_ms": ("transmission median_ms", lambda:
+                               TransmissionModel(median_ms=math.nan)),
+    "transmission_sigma": ("transmission sigma", lambda:
+                           TransmissionModel(sigma=math.inf)),
+    "transmission_outlier_max_ms": ("transmission outlier_max_ms", lambda:
+                                    TransmissionModel(outlier_max_ms=math.inf)),
+    "online_mean_ms": ("online mean_ms", lambda:
+                       OnlinePenalty(True, math.nan, 1.0)),
+    "online_std_ms": ("online std_ms", lambda:
+                      OnlinePenalty(True, 460.0, math.inf)),
+    "phase_mean_ms": ("SimBank phase mean_ms", lambda:
+                      ProcessingPhase("SimBank", math.nan, 1.0)),
+    "phase_std_ms": ("Gateway phase std_ms", lambda:
+                     ProcessingPhase("Gateway", 1.0, math.inf)),
+    "retransmit_timeout_ms": ("remote_udp retransmit_timeout_ms", lambda:
+                              remote_udp(retransmit_timeout_ms=math.nan)),
+    "network_auth_timer_ms": ("network auth_timer_ms", lambda:
+                              NetworkConfig(auth_timer_ms=math.nan)),
+    "config_auth_timer_ms": ("network auth_timer_ms", lambda: ScenarioConfig(
+        seed=1, fleet=(FleetEntry("FairPhone5G", 1),), auth_timer_ms=math.nan)),
+    "reauth_min_spacing_ms": ("reauth policy min_spacing_ms", lambda:
+                              ReauthPolicy(2, math.nan)),
+    "profile_step_mean": ("FairPhone5G step AttachAccept mean", lambda: replace(
+        _FAIRPHONE, step_latency={**_FAIRPHONE.step_latency,
+                                  _ACCEPT_STEP: (math.nan, 1.0)})),
+    "profile_step_std": ("FairPhone5G step AttachAccept std", lambda: replace(
+        _FAIRPHONE, step_latency={**_FAIRPHONE.step_latency,
+                                  _ACCEPT_STEP: (1.0, math.inf)})),
+    "profile_calibration_target_ms": (
+        "FairPhone5G calibration_target_ms", lambda:
+        replace(_FAIRPHONE, calibration_target_ms=math.nan)),
+    "algorithm_latency_mean_ms": ("auth algorithm 'XorTest' latency_mean_ms",
+                                  lambda: algorithm_named(
+                                      "XorTest", latency_mean_ms=math.nan)),
+    "algorithm_latency_std_ms": ("auth algorithm 'XorTest' latency_std_ms",
+                                 lambda: algorithm_named(
+                                     "XorTest", latency_std_ms=math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE)
+def test_value_objects_built_in_code_reject_non_finite_numbers(case):
+    """read_value keeps NaN and infinities out of a config file; a value
+    object built in code rejects them itself, naming the field."""
+    field, build = _NON_FINITE[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be a "
+                                          f"finite number, got (nan|inf)$"):
+        build()
+
+
 def test_cli_rejects_coupled_channel_section(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_with(
@@ -1400,6 +1496,68 @@ def test_simulate_inline_matches_forked(tmp_path, monkeypatch):
     for name in _EVERY_OUTCOME_SHA256:
         assert (forked.out_dir / name).read_bytes() \
             == (inline.out_dir / name).read_bytes()
+
+
+def test_run_scenario_runs_the_parts_its_config_built(tmp_path, monkeypatch):
+    """The config builds the profiles, the radio, the network, the reauth
+    policy and each profile name's relay once, calibrating the relays
+    there; run_scenario, forked and inline, builds none of them again."""
+    built = []
+
+    def counted(profile, *args, **kwargs):
+        built.append(profile.name)
+        return channel_for(profile, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "channel_for", counted)
+    config = parse_config(_EVERY_OUTCOME)
+    assert built == ["SMBHyb_rem", "SMBPor_rem", "FairPhone5G", "Deaf"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_scenario built a part of its run")
+
+    for name in ("channel_for", "build_channel", "_base_profiles",
+                 "RadioEnvironment", "NetworkConfig", "ReauthPolicy"):
+        monkeypatch.setattr(scenario, name, refuse)
+    for run in ("forked", "inline"):
+        if run == "inline":
+            monkeypatch.delattr(os, "fork", raising=False)
+        art = run_scenario(config, tmp_path / run)
+        assert {name: _digest(art.out_dir / name)
+                for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256, run
+
+
+_RTTS = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v},
+              st.floats(0.0, 2000.0)),
+    st.builds(lambda v: {"kind": "lognormal", "median": v},
+              st.floats(0.0, 2000.0)))
+
+
+@st.composite
+def _relay_sections(draw):
+    shared = {"rtt": draw(_RTTS), "sessions_auth": draw(st.integers(0, 40)),
+              "packets_per_session": draw(st.integers(0, 8)),
+              "online": {"enabled": draw(st.booleans())}}
+    udp = {**shared, "rtt": draw(_RTTS), "sessions_auth": draw(
+        st.integers(0, 40)), "loss_prob": draw(st.floats(0.0, 0.5))}
+    return {"remote_tcp": {**shared, "ack_cost_ms": draw(st.floats(0.0, 5.0))},
+            "remote_udp": udp}
+
+
+@settings(max_examples=12)
+@given(_relay_sections())
+def test_property_a_relay_config_is_rejected_when_made_or_runs(channels):
+    """Whatever relay sections a config has, it is either a ConfigError
+    when parsed or a run: no relay fails inside run_scenario."""
+    raw = dict(MINIMAL, attaches_per_device=2, channels=channels,
+               fleet=[{"profile": "SMBHyb_rem", "count": 1},
+                      {"profile": "SMBPor_rem", "count": 1}])
+    try:
+        config = parse_config(raw)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        assert len(run_scenario(config, out).devices) == 2
 
 
 def _simulate_into(tmp_path, capsys, *blocked):
