@@ -1,122 +1,51 @@
 """Deterministic LTE attach-signaling simulator with latency-based
 detection of remotely associated SIMs."""
 
-from .aka import compute_response, generate_challenge, verify
-from .channel import (
-    OnlinePenalty,
-    RttDistribution,
-    SimChannel,
-    auth_channel_elapsed,
-    build_channel,
-    builtin_remote_rtt,
-    calibrate_processing,
-    min_transfer_floor,
-    remote_tcp,
-    remote_udp,
-)
-from .core import (
-    ConfigError,
-    DegenerateInput,
-    EmptyWindow,
-    EventClock,
-    MalformedRecord,
-    ParseError,
-    RngStream,
-)
+from .channel import SimChannel
+from .core import ConfigError, DegenerateInput, EmptyWindow, ParseError
 from .fleet import (
-    CampDecision,
     DeviceProfile,
-    RadioEnvironment,
     TransmissionModel,
-    attempt_camp,
     builtin_profiles,
     channel_for,
 )
-from .monitor import (
-    Decision,
-    DetectPolicy,
-    LatencyStats,
-    ReauthPolicy,
-    classify,
-    compute_step_latencies,
-    welch_t,
-)
-from .protocol import (
-    ATTACH_SEQUENCE,
-    AttachRecord,
-    AttachStep,
-    NetworkConfig,
-    Outcome,
-    SignalingMessage,
-    run_attach,
-    run_attaches,
-    step_named,
-    validate_sequence,
-)
+from .monitor import Decision, DetectPolicy, LatencyStats, classify, welch_t
+from .protocol import AttachStep, Outcome
 from .scenario import (
     FleetEntry,
     ScenarioArtifacts,
     ScenarioConfig,
     emit_distribution,
     parse_config,
-    parse_logs,
     run_detection,
     run_scenario,
 )
 
 __version__ = "0.1.0"
 
+# exactly the names README's "Library use" documents at the package root
 __all__ = [
-    "ATTACH_SEQUENCE",
-    "AttachRecord",
     "AttachStep",
-    "CampDecision",
     "ConfigError",
     "Decision",
     "DegenerateInput",
     "DetectPolicy",
     "DeviceProfile",
     "EmptyWindow",
-    "EventClock",
     "FleetEntry",
     "LatencyStats",
-    "MalformedRecord",
-    "NetworkConfig",
-    "OnlinePenalty",
     "Outcome",
     "ParseError",
-    "RadioEnvironment",
-    "ReauthPolicy",
-    "RngStream",
-    "RttDistribution",
     "ScenarioArtifacts",
     "ScenarioConfig",
-    "SignalingMessage",
     "SimChannel",
     "TransmissionModel",
-    "attempt_camp",
-    "auth_channel_elapsed",
-    "build_channel",
     "builtin_profiles",
-    "builtin_remote_rtt",
-    "calibrate_processing",
     "channel_for",
     "classify",
-    "compute_response",
-    "compute_step_latencies",
     "emit_distribution",
-    "generate_challenge",
-    "min_transfer_floor",
     "parse_config",
-    "parse_logs",
-    "remote_tcp",
-    "remote_udp",
-    "run_attach",
-    "run_attaches",
     "run_detection",
     "run_scenario",
-    "step_named",
-    "validate_sequence",
-    "verify",
     "welch_t",
 ]

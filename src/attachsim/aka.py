@@ -145,7 +145,7 @@ def challenge_for(k: SubscriberKey, rand: bytes,
 def generate_challenge(k: SubscriberKey, rng: RngStream,
                        alg: AuthAlgorithm = XOR_TEST) -> AuthChallenge:
     """Draw a fresh rand and derive the expected response and token."""
-    return challenge_for(k, rng.bytes(KEY_LEN), alg)
+    return challenge_for(k, rng.gen.bytes(KEY_LEN), alg)
 
 
 def compute_response(k: SubscriberKey, rand: bytes, autn: bytes,

@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     ConfigError,
     DataFileError,
-    RngStream,
     require_finite,
     sorted_median,
 )
@@ -195,16 +194,6 @@ class OnlinePenalty:
         if not self.enabled:
             return np.zeros(n)
         return np.maximum(gen.normal(self.mean_ms, self.std_ms, n), 0.0)
-
-
-@dataclass(frozen=True)
-class ChannelBreakdown:
-    transfer_total_ms: float
-    processing_total_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        return self.transfer_total_ms + self.processing_total_ms
 
 
 @dataclass(frozen=True)
@@ -400,14 +389,6 @@ def _phase_totals(channel: SimChannel, stack: list[tuple]
     return transfer, processing.sum(axis=1)
 
 
-def auth_channel_elapsed(channel: SimChannel, rng: RngStream) -> ChannelBreakdown:
-    """Transfer and processing totals for one authentication phase: the
-    one-row case of auth_channel_batch."""
-    transfer, processing = auth_channel_batch(channel, [rng.gen], [1])
-    return ChannelBreakdown(transfer_total_ms=float(transfer[0]),
-                            processing_total_ms=float(processing[0]))
-
-
 def min_transfer_floor(channel: SimChannel) -> float:
     """Lower bound on a session's transfer time: two median round trips."""
     return 2.0 * channel.rtt.median_ms
@@ -441,7 +422,7 @@ def _expected_backoff(channel: SimChannel) -> float:
 
 def _expected_transfer_ms(channel: SimChannel) -> float:
     """Exact mean transfer time of the authentication phase, online
-    penalty included, as auth_channel_elapsed samples it."""
+    penalty included, as auth_channel_batch samples it."""
     rtt = channel.rtt.mean_ms
     session = 2.0 * rtt
     if channel.kind == REMOTE_TCP:

@@ -10,13 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .core import (
-    ConfigError,
-    DegenerateInput,
-    EmptyWindow,
-    MalformedRecord,
-    ParseError,
-)
+from .core import ConfigError, DegenerateInput, EmptyWindow, ParseError
 from .fleet import builtin_profiles
 from .monitor import Decision
 from .protocol import Outcome
@@ -28,8 +22,8 @@ from .scenario import (
     run_scenario,
 )
 
-_USER_ERRORS = (ConfigError, ParseError, MalformedRecord, EmptyWindow,
-                DegenerateInput, OSError)
+_USER_ERRORS = (ConfigError, ParseError, EmptyWindow, DegenerateInput,
+                OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

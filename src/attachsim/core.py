@@ -107,11 +107,6 @@ TIME_QUANTUM_MS = 1.0 / 1024.0
 TIME_LIMIT_MS = 2.0 ** 43
 
 
-def quantize_ms(value: float) -> float:
-    """Nearest lattice point to a millisecond value."""
-    return round(value * 1024.0) / 1024.0
-
-
 def quantize_ceil_ms(value: float) -> float:
     """Smallest lattice point >= value; used for latency floors."""
     return math.ceil(value * 1024.0) / 1024.0
@@ -291,40 +286,3 @@ class RngStream:
     @property
     def gen(self) -> np.random.Generator:
         return self._gen
-
-    def normal(self, mean: float, std: float) -> float:
-        return float(self._gen.normal(mean, std))
-
-    def bytes(self, n: int) -> bytes:
-        return self._gen.bytes(n)
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
-
-def clamped_normal(rng: RngStream, mean: float, std: float, floor: float) -> float:
-    """Normal sample clamped from below.
-
-    Clamping (rather than redrawing) keeps the long-run mean close to the
-    nominal one even when the floor cuts well into the left tail.
-    """
-    draw = rng.normal(mean, std)
-    return draw if draw > floor else floor
-
-
-class EventClock:
-    """Monotonic simulation clock on the quantized millisecond lattice."""
-
-    def __init__(self, start_ms: float = 0.0):
-        self._now = quantize_ms(float(start_ms))
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, delta_ms: float) -> float:
-        """Move forward by a non-negative, already-quantized delta."""
-        if delta_ms < 0:
-            raise ValueError(f"clock cannot move backwards (delta {delta_ms})")
-        self._now += delta_ms
-        return self._now

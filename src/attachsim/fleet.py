@@ -17,7 +17,7 @@ import numpy as np
 
 from . import channel as chan
 from .aka import XOR_TEST, AuthAlgorithm, SubscriberKey
-from .core import ConfigError, RngStream, read_section, require_finite
+from .core import ConfigError, read_section, require_finite
 from .protocol import ATTACH_SEQUENCE, OPTIONAL_STEPS, AttachStep
 
 _SENSITIVITY_RANGE = (-130.0, -60.0)
@@ -63,9 +63,6 @@ class TransmissionModel:
         require_finite("transmission", median_ms=self.median_ms,
                        sigma=self.sigma, outlier_max_ms=self.outlier_max_ms)
 
-    def sample(self, rng: RngStream) -> float:
-        return float(self.draw(rng.gen, 1)[0])
-
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """`n` delays from one generator call per part."""
         value = self.median_ms * np.exp(gen.normal(0.0, self.sigma, n))
@@ -89,7 +86,6 @@ class DeviceProfile:
     # catalog bookkeeping: the published per-profile total, for cross-checks
     expected_total_ms: float | None = None
     auth_misconfigured: bool = False
-    device_id: str | None = None
 
     def __post_init__(self):
         lo, hi = _SENSITIVITY_RANGE

@@ -580,21 +580,10 @@ def log_units(path: str | Path) -> list[tuple[int, int | None]]:
             for start in starts]
 
 
-def read_log(path: str | Path, keep) -> tuple[list[str], np.ndarray,
-                                              np.ndarray, np.ndarray,
-                                              np.ndarray]:
-    """_Merge.finish of the log at `path`, read a unit at a time, keeping
-    the steps in `keep`."""
-    reader = _LogReader(keep)
-    merged = _Merge(reader.ids)
-    for start, stop in log_units(path):
-        merged.add(reader.unit(path, start, stop))
-    return merged.finish()
-
-
 def read_logs(paths: list[str | Path], keep) -> list[tuple]:
-    """read_log of each of `paths`, read by this process and a forked
-    child (forkjoin.fork_join): each claims the next unit not yet read,
+    """_Merge.finish of each log of `paths`, keeping the steps in `keep`,
+    read a unit at a time by this process and a forked child
+    (forkjoin.fork_join): each claims the next unit not yet read,
     those of the first log first, and numbers devices and learns tails
     once over all of them.  This process then merges the units in file
     order, log by log, so the error raised is the first in file order of

@@ -23,8 +23,6 @@ from .core import (
     TIME_LIMIT_MS,
     TIME_QUANTUM_MS,
     ConfigError,
-    EventClock,
-    RngStream,
     fmt_ms,
     quantize_ceil_ms,
     require_finite,
@@ -214,7 +212,8 @@ class DeviceAttaches:
 
 
 def _lattice(values: np.ndarray) -> np.ndarray:
-    """quantize_ms on an array (np.rint also rounds half to even)."""
+    """The nearest lattice points to `values` (np.rint rounds half to
+    even)."""
     return np.rint(values * 1024.0) / 1024.0
 
 
@@ -309,27 +308,6 @@ def run_devices(profile: "DeviceProfile", channel: SimChannel | None,
     return [DeviceAttaches(device_id, profile.name, steps, times[i],
                            counts[i], outcomes[i], transfer[i], processing[i])
             for i, device_id in enumerate(device_ids)]
-
-
-def run_attaches(profile: "DeviceProfile", channel: SimChannel | None,
-                 network: NetworkConfig, starts, rng: RngStream
-                 ) -> DeviceAttaches:
-    """run_devices for one device, named as its profile says."""
-    name = profile.name if profile.device_id is None else profile.device_id
-    return run_devices(profile, channel, network, [starts], [rng], [name])[0]
-
-
-def run_attach(profile: "DeviceProfile", channel: SimChannel | None,
-               network: NetworkConfig, clock: EventClock, rng: RngStream,
-               attach_seq: int = 0) -> AttachRecord:
-    """Drive one attach procedure from the clock's time and return its
-    message trace: run_attaches for one start.  The clock ends at the
-    last message."""
-    record = run_attaches(profile, channel, network, [clock.now],
-                          rng).records()[0]
-    record.attach_seq = attach_seq
-    clock.advance(record.messages[-1].time - clock.now)
-    return record
 
 
 def validate_sequence(record: AttachRecord, profile: "DeviceProfile") -> ValidationReport:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import groupby, product
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .fleet import (
     channel_for,
     channel_overrides,
 )
-from .logformat import LINE, OUTCOME_AFTER, TAIL_PIECES, read_log
+from .logformat import LINE, OUTCOME_AFTER, TAIL_PIECES
 from .monitor import (
     DetectPolicy,
     ReauthPolicy,
@@ -91,7 +93,7 @@ class ScenarioConfig:
     min_spacing_ms: float = 10_000.0
     auth_timer_ms: float = 6000.0
     calibrate: bool = True
-    channels: dict = field(default_factory=dict)
+    channels: Mapping = field(default_factory=dict)
     transmission: TransmissionModel = field(default_factory=TransmissionModel)
     # what run_scenario runs, built once here, where building checks it: the
     # entries' profiles, env, network, policy, and each profile name's relay
@@ -117,19 +119,42 @@ class ScenarioConfig:
                 f"{self.min_spacing_ms} ms apart in a {self.day_span_ms} ms "
                 f"day_span_ms")
         profiles = _base_profiles(self.fleet)
-        channels = read_section(self.channels, "channels",
+        named = {p.name: p for p in profiles}.values()
+        # a plain copy: replace() passes the frozen form back in
+        channels = read_section(_copied(self.channels, dict), "channels",
                                 dict.fromkeys(CHANNEL_KINDS, dict))
         if COUPLED_SERIAL in channels:
             raise ConfigError(
                 f"channels {COUPLED_SERIAL}: takes no overrides; a coupled "
                 f"profile's auth latency comes from its step table")
-        for kind, section in channels.items():  # used or not, before relays
-            build_channel(kind, **channel_overrides(kind, section,
-                                                    f"channels {kind}"))
-        relays = {p.name: channel_for(p, self.channels.get(p.channel_kind),
+        used = {p.channel_kind for p in named}
+        for kind, section in channels.items():  # the relays build the rest
+            if kind not in used:
+                build_channel(kind, **channel_overrides(kind, section,
+                                                        f"channels {kind}"))
+        relays = {p.name: channel_for(p, channels.get(p.channel_kind),
                                       calibrate=self.calibrate)
-                  for p in {p.name: p for p in profiles}.values()}
+                  for p in named}
+        # read-only: the relays are built, so an edit would go unrun
+        object.__setattr__(self, "channels", _copied(channels,
+                                                     MappingProxyType))
         object.__setattr__(self, "_parts", (profiles, env, network, policy, relays))
+
+    def __reduce__(self):
+        """Rebuilt from its fields, as replace() rebuilds it: the read-only
+        channels neither pickle nor deep-copy."""
+        kwargs = {**vars(self), "channels": _copied(self.channels, dict)}
+        del kwargs["_parts"]
+        return partial(ScenarioConfig, **kwargs), ()
+
+
+def _copied(value, mapping):
+    """`value` with each mapping in it, nested ones too, copied as a
+    `mapping` (dict, or MappingProxyType for a read-only one)."""
+    if isinstance(value, Mapping):
+        return mapping({key: _copied(item, mapping)
+                        for key, item in value.items()})
+    return value
 
 
 _PROFILE_SCHEMA = {"name": str, "steps": dict, "optional_steps": list,
@@ -579,7 +604,8 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
     every record must begin with the first step of the sequence.
     """
     done: dict[str, list[AttachRecord]] = {}
-    for device_id, steps, times in _by_device(*read_log(path, AttachStep)[:4]):
+    for device_id, steps, times in _by_device(
+            *logformat.read_logs([path], AttachStep)[0][:4]):
         starts = np.flatnonzero(steps == 0)[1:]
         done[device_id] = records = []
         for seq, (codes, stamps) in enumerate(zip(np.split(steps, starts),
@@ -592,15 +618,6 @@ def parse_logs(path: str | Path) -> dict[str, list[AttachRecord]]:
                                      device_id=device_id, message=step.name)
                     for step, time in zip(trace, stamps.tolist())]))
     return done
-
-
-def _step_latencies(path: str | Path, step: AttachStep
-                    ) -> dict[str, list[float]]:
-    """Per device, in parse_logs order, the latency of `step` in each record
-    that has it: its time minus the time of the message before it."""
-    ids, device, _, _, gap = read_log(path, (step,))
-    return {device_id: values[~np.isnan(values)].tolist()
-            for device_id, values in _by_device(ids, device, gap)}
 
 
 def _refuse_overwrite(outs, *logs) -> None:
@@ -738,12 +755,12 @@ def emit_distribution(logs_path: str | Path, step: AttachStep | str | int,
         step = step_named(step)
     elif isinstance(step, int):
         step = AttachStep(step)
-    values = [value for values in _step_latencies(logs_path, step).values()
-              for value in values]
-    if not values:
+    gap = logformat.read_logs([logs_path], (step,))[0][4]
+    values = gap[~np.isnan(gap)]  # in log order: no count depends on it
+    if not values.size:
         raise EmptyWindow(f"no samples for step {step.name}")
-    counts, edges = np.histogram(np.asarray(values), bins=bins)
-    total = float(len(values))
+    counts, edges = np.histogram(values, bins=bins)
+    total = float(values.size)
     lines = ["bin_low,bin_high,count,density"]
     for i, count in enumerate(counts):
         width = edges[i + 1] - edges[i]

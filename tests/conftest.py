@@ -1,18 +1,11 @@
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from attachsim import (
-    DeviceProfile,
-    EventClock,
-    NetworkConfig,
-    RngStream,
-    builtin_profiles,
-    channel_for,
-    run_attach,
-)
+from attachsim import DeviceProfile, builtin_profiles, channel_for
+from attachsim.core import RngStream
+from attachsim.protocol import NetworkConfig, run_devices
 
 settings.register_profile(
     "suite",
@@ -76,10 +69,9 @@ def attach_once(profiles, channels):
 
     def run(name: str, seed: int = 1, network: NetworkConfig | None = None,
             start_ms: float = 0.0):
-        profile = replace(profiles[name], device_id=f"{name}-000")
-        return run_attach(profile, channels[name],
-                          network or NetworkConfig(),
-                          EventClock(start_ms), RngStream(seed))
+        return run_devices(profiles[name], channels[name],
+                           network or NetworkConfig(), [[start_ms]],
+                           [RngStream(seed)], [f"{name}-000"])[0].records()[0]
 
     return run
 

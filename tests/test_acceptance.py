@@ -14,38 +14,48 @@ import numpy as np
 import pytest
 
 from attachsim import (
-    CampDecision,
     Decision,
     DetectPolicy,
-    EventClock,
     LatencyStats,
-    NetworkConfig,
     Outcome,
-    RadioEnvironment,
-    RngStream,
     ScenarioConfig,
     FleetEntry,
-    SignalingMessage,
     TransmissionModel,
-    attempt_camp,
-    auth_channel_elapsed,
     classify,
+    run_detection,
+    run_scenario,
+    welch_t,
+)
+from attachsim.aka import (
+    AuthResponse,
+    SubscriberKey,
     compute_response,
     generate_challenge,
+    verify,
+)
+from attachsim.channel import (
+    auth_channel_batch,
     min_transfer_floor,
     remote_tcp,
     remote_udp,
-    run_attach,
-    run_detection,
-    run_scenario,
-    validate_sequence,
-    welch_t,
 )
-from attachsim.aka import AuthResponse, SubscriberKey, verify
-from attachsim.core import clamped_normal
-from attachsim.fleet import PHONE_MODELS, builtin_profiles, channel_for
+from attachsim.core import RngStream
+from attachsim.fleet import (
+    PHONE_MODELS,
+    CampDecision,
+    RadioEnvironment,
+    attempt_camp,
+    builtin_profiles,
+    channel_for,
+)
 from attachsim.monitor import compute_step_latencies
-from attachsim.protocol import AttachStep
+from attachsim.protocol import (
+    AttachStep,
+    NetworkConfig,
+    SignalingMessage,
+    run_devices,
+    validate_sequence,
+)
 
 STEP4 = AttachStep.AuthenticationResponse
 TABLE_SEED = 3       # full-fleet run behind criteria 1 and 2
@@ -75,12 +85,20 @@ def fleet_run(tmp_path_factory, profiles):
     return art, time.monotonic() - started
 
 
+def _attach(profiles, channels, name, network, start_ms, rng, seq=0):
+    """One attach of `name`'s profile from `start_ms`, drawn from `rng`."""
+    record = run_devices(profiles[name], channels[name], network,
+                         [[start_ms]], [rng], [name])[0].records()[0]
+    record.attach_seq = seq
+    return record
+
+
 def _auth_samples(profiles, channels, name, rng, attaches=50):
     network = NetworkConfig(transmission=TransmissionModel())
     out = []
     for seq in range(attaches):
-        rec = run_attach(profiles[name], channels[name], network,
-                         EventClock(seq * 10_000.0), rng, attach_seq=seq)
+        rec = _attach(profiles, channels, name, network, seq * 10_000.0, rng,
+                      seq)
         out.extend(s.latency for s in compute_step_latencies(rec)
                    if s.step is STEP4)
     return out
@@ -146,8 +164,8 @@ def test_accept_03_two_rtt_floor():
     lows = []
     for channel in (tcp, udp):
         rng = RngStream(MASTER_SEED).substream(3)
-        totals = [auth_channel_elapsed(channel, rng).transfer_total_ms
-                  for _ in range(2000)]
+        totals = auth_channel_batch(channel, [rng.gen] * 2000,
+                                    [1] * 2000)[0].tolist()
         assert all(t >= 114.8 for t in totals)
         lows.append(min(totals))
     print(f"\nACCEPT-03 PASS: transfer floor 114.8 ms exact; observed minima "
@@ -160,14 +178,15 @@ def test_accept_04_population_separation(profiles):
     baseline = []
     for i in range(500):
         mean, std = profiles[PHONE_MODELS[i % 9]].step_latency[STEP4]
-        baseline.append(clamped_normal(rng, mean, std, 0.1) + tx.sample(rng))
+        baseline.append(max(float(rng.gen.normal(mean, std)), 0.1)
+                        + float(tx.draw(rng.gen, 1)[0]))
     # best-case decoupled attacker: local-SIM gateway processing plus the
     # irreducible two round trips on the remote leg
     optimized = []
     mean, std = profiles["SMBHyb_loc"].step_latency[STEP4]
     for i in range(500):
-        optimized.append(114.8 + clamped_normal(rng, mean, std, 0.1)
-                         + tx.sample(rng))
+        optimized.append(114.8 + max(float(rng.gen.normal(mean, std)), 0.1)
+                         + float(tx.draw(rng.gen, 1)[0]))
     result = welch_t(LatencyStats.from_samples(baseline),
                      LatencyStats.from_samples(optimized))
     assert result.t > 1.65
@@ -209,8 +228,8 @@ def test_accept_06_conservation_and_validator(profiles, channels):
     records = []
     for name, count in plan:
         for i in range(count):
-            rec = run_attach(profiles[name], channels[name], network,
-                             EventClock(float(len(records))), root)
+            rec = _attach(profiles, channels, name, network,
+                          float(len(records)), root)
             records.append((name, rec))
     assert len(records) == 10_000
 
@@ -333,7 +352,7 @@ def test_accept_09_reproducible_artifacts(tmp_path):
 def test_accept_10_auth_roundtrips_and_tampers():
     rng = RngStream(MASTER_SEED).substream(10)
     for _ in range(1000):
-        key = SubscriberKey(rng.bytes(16))
+        key = SubscriberKey(rng.gen.bytes(16))
         ch = generate_challenge(key, rng)
         answer = compute_response(key, ch.rand, ch.autn)
         assert isinstance(answer, AuthResponse)
@@ -341,11 +360,11 @@ def test_accept_10_auth_roundtrips_and_tampers():
 
     rejected = 0
     for i in range(1000):
-        key = SubscriberKey(rng.bytes(16))
+        key = SubscriberKey(rng.gen.bytes(16))
         ch = generate_challenge(key, rng)
         mode = i % 3
-        pos = rng.integers(0, 16)
-        delta = rng.integers(1, 256)
+        pos = int(rng.gen.integers(0, 16))
+        delta = int(rng.gen.integers(1, 256))
         rand, autn, use_key = ch.rand, ch.autn, key
         if mode == 0:
             rand = bytes([*rand[:pos], rand[pos] ^ delta, *rand[pos + 1:]])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from attachsim import ConfigError, RngStream
+from attachsim import ConfigError
+from attachsim.core import RngStream
 from attachsim.aka import (
     KEY_LEN,
     RES_LEN,
@@ -164,7 +165,7 @@ def _chain(k_net, k_sim, rands, alg=XOR_TEST):
 def test_block_matches_per_attach_chain(wrong_key):
     for seed, profile in enumerate(builtin_profiles().values()):
         profile = replace(profile, auth_misconfigured=wrong_key)
-        rands = RngStream(seed).bytes(KEY_LEN * 40)
+        rands = RngStream(seed).gen.bytes(KEY_LEN * 40)
         k_net, k_sim = profile.subscriber_key, profile.sim_side_key()
         passed = authenticate(k_net, k_sim, rands, profile.auth_alg)
         assert passed.dtype == bool and passed.shape == (40,)
@@ -179,7 +180,7 @@ def test_block_checks_token_and_response():
         return (rands ^ k)[:, :RES_LEN], rands.copy()
 
     alg = AuthAlgorithm("KeylessToken", keyless_token)
-    rands = RngStream(4).bytes(KEY_LEN * 8)
+    rands = RngStream(4).gen.bytes(KEY_LEN * 8)
     other = SubscriberKey(bytes(range(1, 17)))
     assert authenticate(KEY, KEY, rands, alg).all()
     assert not authenticate(KEY, other, rands, alg).any()
@@ -189,7 +190,7 @@ def test_block_checks_token_and_response():
 
 
 def test_block_is_the_bytes_api():
-    rands = RngStream(9).bytes(KEY_LEN * 5)
+    rands = RngStream(9).gen.bytes(KEY_LEN * 5)
     block = np.frombuffer(rands, np.uint8).reshape(5, KEY_LEN)
     res, autn = XOR_TEST.block(KEY, block)
     for i in range(5):

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attachsim import (
-    ConfigError,
+from attachsim import ConfigError
+from attachsim import channel as chan_mod
+from attachsim.channel import (
     OnlinePenalty,
-    RngStream,
+    ProcessingPhase,
     RttDistribution,
-    SimChannel,
-    auth_channel_elapsed,
+    auth_channel_batch,
     build_channel,
     builtin_remote_rtt,
     calibrate_processing,
@@ -23,16 +23,10 @@ from attachsim import (
     remote_tcp,
     remote_udp,
 )
-from attachsim import channel as chan_mod
-from attachsim.channel import ProcessingPhase, auth_channel_batch
+from attachsim.core import RngStream
 
 BUILTIN_RTT_SHA256 = (
     "67d279e343f2cf411400a2cab06beb9437945bdac3e107fbd8960ca11f91aea1")
-
-
-def _mean(fn, n, seed=0):
-    rng = RngStream(seed)
-    return sum(fn(rng) for _ in range(n)) / n
 
 
 def _sessions(channel, n, seed=0):
@@ -85,16 +79,15 @@ def test_tcp_session_is_two_rtts_plus_acks():
 def test_tcp_auth_transfer_lan_oracle():
     # constant 2.2 ms rtt: handshake 1.5 rtt + 15 sessions of (2 rtt + 0.3)
     channel = remote_tcp(rtt=RttDistribution.constant(2.2))
-    bd = auth_channel_elapsed(channel, RngStream(0))
-    assert bd.transfer_total_ms == pytest.approx(73.8, rel=1e-12)
-    assert bd.total_ms == bd.transfer_total_ms + bd.processing_total_ms
+    transfer, _ = auth_channel_batch(channel, [RngStream(0).gen], [1])
+    assert transfer[0] == pytest.approx(73.8, rel=1e-12)
 
 
 def test_udp_session_lossless_is_exactly_two_rtts():
     channel = remote_udp(rtt=RttDistribution.constant(5.0), loss_prob=0.0)
     assert _sessions(channel, 50) == [10.0] * 50
-    bd = auth_channel_elapsed(channel, RngStream(0))
-    assert bd.transfer_total_ms == 90.0
+    transfer, _ = auth_channel_batch(channel, [RngStream(0).gen], [1])
+    assert transfer[0] == 90.0
 
 
 def test_udp_retransmission_cost_oracle():
@@ -127,22 +120,20 @@ def test_min_transfer_floor_examples():
 def test_auth_transfer_never_below_floor():
     for channel in (remote_tcp(), remote_udp()):
         floor = min_transfer_floor(channel)
-        rng = RngStream(6)
-        for _ in range(500):
-            assert auth_channel_elapsed(channel, rng).transfer_total_ms >= floor
+        transfer, _ = auth_channel_batch(channel, [RngStream(6).gen] * 500,
+                                         [1] * 500)
+        assert (transfer >= floor).all()
 
 
 def test_processing_totals_uncalibrated():
     # tcp: 8 x N(218, 8) + 6 x N(211, 6), clamp at 1 ms is negligible
-    tcp_mean = _mean(
-        lambda r: auth_channel_elapsed(remote_tcp(), r).processing_total_ms,
-        1500, seed=7)
+    tcp_mean = auth_channel_batch(remote_tcp(), [RngStream(7).gen] * 1500,
+                                  [1] * 1500)[1].mean()
     assert abs(tcp_mean / 3010.0 - 1.0) < 0.015
     # udp: 6 x N(236.1, 116.3) + 6 x N(139.3, 73.6), clamp shifts the
     # analytic mean to 2263.1
-    udp_mean = _mean(
-        lambda r: auth_channel_elapsed(remote_udp(), r).processing_total_ms,
-        1500, seed=8)
+    udp_mean = auth_channel_batch(remote_udp(), [RngStream(8).gen] * 1500,
+                                  [1] * 1500)[1].mean()
     assert abs(udp_mean / 2263.1 - 1.0) < 0.02
 
 
@@ -167,18 +158,18 @@ def test_online_penalty_raises_channel_mean():
     base = remote_tcp(rtt=RttDistribution.constant(2.0))
     slow = remote_tcp(rtt=RttDistribution.constant(2.0),
                       online=OnlinePenalty(enabled=True))
-    base_mean = _mean(lambda r: auth_channel_elapsed(base, r).transfer_total_ms,
-                      800, seed=11)
-    slow_mean = _mean(lambda r: auth_channel_elapsed(slow, r).transfer_total_ms,
-                      800, seed=11)
+    base_mean = auth_channel_batch(base, [RngStream(11).gen] * 800,
+                                   [1] * 800)[0].mean()
+    slow_mean = auth_channel_batch(slow, [RngStream(11).gen] * 800,
+                                   [1] * 800)[0].mean()
     assert abs((slow_mean - base_mean) / 460.0 - 1.0) < 0.10
 
 
 def test_calibration_hits_target():
     for channel, target in ((remote_tcp(), 2122.7), (remote_udp(), 1640.2)):
         tuned = calibrate_processing(channel, target)
-        mean = _mean(lambda r: auth_channel_elapsed(tuned, r).total_ms,
-                     3000, seed=12)
+        mean = sum(auth_channel_batch(tuned, [RngStream(12).gen] * 3000,
+                                      [1] * 3000)).mean()
         assert abs(mean / target - 1.0) < 0.01
 
 
@@ -199,8 +190,8 @@ def test_exact_calibration_oracle():
     assert scale == pytest.approx((2122.7 - 73.8) / 3010.0, rel=1e-12)
     assert all(p.mean_ms / q.mean_ms == pytest.approx(scale, rel=1e-15)
                for p, q in zip(tuned.processing_phases, phases))
-    bd = auth_channel_elapsed(tuned, RngStream(0))
-    assert bd.total_ms == pytest.approx(2122.7, rel=1e-12)
+    transfer, processing = auth_channel_batch(tuned, [RngStream(0).gen], [1])
+    assert transfer[0] + processing[0] == pytest.approx(2122.7, rel=1e-12)
 
 
 def test_calibrated_mean_is_exact_and_sampled():
@@ -215,9 +206,8 @@ def test_calibrated_mean_is_exact_and_sampled():
         assert _exact_mean(calibrate_processing(base, goal)) == \
             pytest.approx(goal, rel=1e-9)
     tuned = calibrate_processing(channel, target)
-    rng = RngStream(20)
-    draws = np.array([auth_channel_elapsed(tuned, rng).total_ms
-                      for _ in range(40_000)])
+    draws = sum(auth_channel_batch(tuned, [RngStream(20).gen] * 40_000,
+                                   [1] * 40_000))
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - target) < 3 * se
 
@@ -271,19 +261,8 @@ def test_auth_channel_batch_equals_one_generator_at_a_time(channel):
         np.testing.assert_array_equal(got_totals, np.concatenate(want_totals),
                                       strict=True)
     assert sum(counts) > chan_mod._STACK_ROWS
-
-
-def test_auth_channel_elapsed_is_one_row_batch():
-    for channel in _BATCH_CHANNELS:
-        for seed in range(5):
-            bd = auth_channel_elapsed(channel, RngStream(seed))
-            transfer, processing = auth_channel_batch(
-                channel, [RngStream(seed).gen], [1])
-            assert (bd.transfer_total_ms, bd.processing_total_ms) == \
-                (transfer[0], processing[0])
-        transfer, processing = auth_channel_batch(
-            channel, [RngStream(0).gen], [0])
-        assert transfer.shape == processing.shape == (0,)
+    transfer, processing = auth_channel_batch(channel, [RngStream(0).gen], [0])
+    assert transfer.shape == processing.shape == (0,)
 
 
 @pytest.mark.parametrize("channel, target", [
@@ -325,12 +304,13 @@ def test_same_seed_same_breakdown():
     online = OnlinePenalty(enabled=True)
     for channel in (remote_tcp(), remote_udp(loss_prob=0.3, online=online),
                     remote_tcp(rtt=RttDistribution.lognormal(50.0))):
-        a = [auth_channel_elapsed(channel, RngStream(7, (2,)))
-             for _ in range(3)]
-        b = [auth_channel_elapsed(channel, RngStream(7, (2,)))
-             for _ in range(3)]
+        a = [np.concatenate(auth_channel_batch(
+            channel, [RngStream(7, (2,)).gen], [1])).tolist() for _ in range(3)]
+        b = [np.concatenate(auth_channel_batch(
+            channel, [RngStream(7, (2,)).gen], [1])).tolist() for _ in range(3)]
         assert a == b
-        assert auth_channel_elapsed(channel, RngStream(8, (2,))) != a[0]
+        assert np.concatenate(auth_channel_batch(
+            channel, [RngStream(8, (2,)).gen], [1])).tolist() != a[0]
 
 
 def test_calibration_imports_no_optimizer():
@@ -394,8 +374,8 @@ def test_calibration_infeasible_target():
 def test_degenerate_channel_is_all_zero():
     channel = remote_udp(rtt=RttDistribution.constant(0.0), loss_prob=0.0,
                          processing_phases=())
-    bd = auth_channel_elapsed(channel, RngStream(0))
-    assert (bd.transfer_total_ms, bd.processing_total_ms) == (0.0, 0.0)
+    transfer, processing = auth_channel_batch(channel, [RngStream(0).gen], [1])
+    assert (transfer[0], processing[0]) == (0.0, 0.0)
 
 
 def test_build_channel_dispatch():

@@ -4,21 +4,24 @@ from hypothesis import strategies as st
 
 from attachsim import (
     AttachStep,
-    CampDecision,
     ConfigError,
     DeviceProfile,
     FleetEntry,
-    RadioEnvironment,
-    RngStream,
     ScenarioConfig,
     TransmissionModel,
-    attempt_camp,
-    auth_channel_elapsed,
     builtin_profiles,
     channel_for,
     run_scenario,
 )
-from attachsim.fleet import PHONE_MODELS, SIMBOX_MODELS
+from attachsim.channel import auth_channel_batch
+from attachsim.core import RngStream
+from attachsim.fleet import (
+    PHONE_MODELS,
+    SIMBOX_MODELS,
+    CampDecision,
+    RadioEnvironment,
+    attempt_camp,
+)
 
 
 def test_catalog_inventory(profiles):
@@ -131,10 +134,10 @@ def test_transmission_independent_of_signal_quality(tmp_path):
     # seed gives the same auth-step latency at any camping signal level
     model = TransmissionModel()
     rng1, rng2 = RngStream(42), RngStream(42)
-    seq1 = [model.sample(rng1) for _ in range(2000)]
-    seq2 = [model.sample(rng2) for _ in range(2000)]
+    seq1 = [float(model.draw(rng1.gen, 1)[0]) for _ in range(2000)]
+    seq2 = [float(model.draw(rng2.gen, 1)[0]) for _ in range(2000)]
     assert seq1 == seq2
-    assert model.sample(RngStream(42)) == seq1[0]
+    assert model.draw(RngStream(42).gen, 1)[0] == seq1[0]
     logs = []
     for rsrp in (-65.0, -115.0):
         cfg = ScenarioConfig(seed=42, fleet=(FleetEntry("GalaxyNote4", 1),),
@@ -147,7 +150,7 @@ def test_transmission_independent_of_signal_quality(tmp_path):
 def test_transmission_distribution_shape():
     rng = RngStream(7)
     model = TransmissionModel()
-    samples = [model.sample(rng) for _ in range(10_000)]
+    samples = [float(model.draw(rng.gen, 1)[0]) for _ in range(10_000)]
     # lognormal(median 2, sigma 0.4) mean 2.166 plus outlier mean 1.0
     mean = sum(samples) / len(samples)
     assert abs(mean / 3.166 - 1.0) < 0.10
@@ -156,7 +159,7 @@ def test_transmission_distribution_shape():
 
     quiet = TransmissionModel(outlier_prob=0.0)
     rng = RngStream(8)
-    assert all(quiet.sample(rng) < 20.0 for _ in range(10_000))
+    assert all(quiet.draw(rng.gen, 1)[0] < 20.0 for _ in range(10_000))
 
 
 def test_transmission_model_validation():
@@ -189,9 +192,8 @@ def test_channel_for_coupled_profiles_is_none(profiles):
 
 def test_channel_for_calibrates_remote(profiles):
     channel = channel_for(profiles["SMBPor_rem"])
-    rng = RngStream(3)
-    mean = sum(auth_channel_elapsed(channel, rng).total_ms
-               for _ in range(2000)) / 2000
+    mean = sum(auth_channel_batch(channel, [RngStream(3).gen] * 2000,
+                                  [1] * 2000)).mean()
     assert abs(mean / 1640.2 - 1.0) < 0.015
     raw = channel_for(profiles["SMBPor_rem"], calibrate=False)
     assert raw.processing_phases != channel.processing_phases

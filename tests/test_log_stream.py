@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attachsim import (
-    AttachRecord,
     AttachStep,
     DegenerateInput,
     DetectPolicy,
@@ -30,12 +29,9 @@ from attachsim import (
     LatencyStats,
     Outcome,
     ParseError,
-    SignalingMessage,
     classify,
-    compute_step_latencies,
     logformat,
     parse_config,
-    parse_logs,
     run_detection,
     run_scenario,
 )
@@ -48,7 +44,9 @@ from attachsim.logformat import (
     _head_times,
     _read_line,
 )
-from attachsim.scenario import _step_latencies, _write_detection_reports
+from attachsim.monitor import compute_step_latencies
+from attachsim.protocol import AttachRecord, SignalingMessage
+from attachsim.scenario import _write_detection_reports, parse_logs
 
 AUTH = AttachStep.AuthenticationResponse
 
@@ -323,11 +321,32 @@ def _read(read, path):
         return str(err), err.line
 
 
+@contextlib.contextmanager
+def _one_process():
+    """os.fork hidden, as on a platform without it, so read_logs reads
+    every unit in turn in this process: a property's examples then cost
+    no fork each.  The detect tests below read forked and inline alike."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        yield
+
+
+def _kept_latencies(path, step) -> dict[str, list[float]]:
+    """Per device, in read_logs' order, the gaps it keeps for `step` in
+    log order, its record starts (NaN) left out."""
+    ids, device, _, _, gap = logformat.read_logs([path], (step,))[0]
+    out: dict[str, list[float]] = {device_id: [] for device_id in ids}
+    for number, value in zip(device.tolist(), gap.tolist()):
+        if not math.isnan(value):
+            out[ids[number]].append(value)
+    return out
+
+
 _READERS = (
     (parse_logs, _reference_parse_logs),
-    (lambda path: _step_latencies(path, AUTH),
+    (lambda path: _kept_latencies(path, AUTH),
      lambda path: _reference_step_latencies(path, AUTH)),
-    (lambda path: _step_latencies(path, AttachStep.AttachRequest),
+    (lambda path: _kept_latencies(path, AttachStep.AttachRequest),
      lambda path: _reference_step_latencies(path, AttachStep.AttachRequest)),
 )
 
@@ -338,7 +357,8 @@ def _reads_as_reference(data: bytes, block: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(data)
-        with mock.patch.object(logformat, "_BLOCK_BYTES", block):
+        with mock.patch.object(logformat, "_BLOCK_BYTES", block), \
+                _one_process():
             for read, reference in _READERS:
                 expected = _read(reference, path)
                 assert _read(read, path) == expected
@@ -595,8 +615,9 @@ def test_writer_times_read_back_bit_exact(ticks, ending, block):
         path.write_bytes(_writer_log(ticks, ending))
         with mock.patch.object(logformat, "_BLOCK_BYTES", block), \
                 mock.patch.object(logformat, "_read_line",
-                                  side_effect=AssertionError("json path")):
-            _, _, _, times, _ = logformat.read_log(path, AttachStep)
+                                  side_effect=AssertionError("json path")), \
+                _one_process():
+            _, _, _, times, _ = logformat.read_logs([path], AttachStep)[0]
     expected = np.array([k / 1024 for k in ticks for _ in range(2)])
     assert times.tobytes() == expected.tobytes()
 
@@ -673,13 +694,14 @@ def test_detect_on_mutated_logs_exits_with_documented_errors(log_pair, data):
             assert rc == 1
 
 
-# Read units: read_log and run_detection cut a log into units of whole
-# lines, read apart and merged in file order; any cut reads as one unit.
+# Read units: read_logs cuts a log into units of whole lines, read apart
+# and merged in file order; any cut reads as one unit.
 
 def _read_arrays(path, keep) -> tuple:
-    """read_log of the log at `path` as comparable values, or its error."""
+    """read_logs' reading of the log at `path` as comparable values, or
+    its error."""
     try:
-        ids, device, step, time, gap = logformat.read_log(path, keep)
+        ids, device, step, time, gap = logformat.read_logs([path], keep)[0]
     except ParseError as err:
         return str(err), err.line
     return (ids, device.tolist(), step.tolist(), time.tobytes(),
@@ -692,7 +714,8 @@ def _reads_alike_in_units(data: bytes, unit: int, block: int = 1 << 18):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(data)
-        with mock.patch.object(logformat, "_BLOCK_BYTES", block):
+        with mock.patch.object(logformat, "_BLOCK_BYTES", block), \
+                _one_process():
             readings = []
             for size in (1 << 40, unit):
                 with mock.patch.object(logformat, "_UNIT_BYTES", size):
@@ -820,13 +843,13 @@ def test_cut_inside_an_open_remote_attach(tmp_path):
     cut = sum(map(len, lines[:(request + response) // 2]))
     with mock.patch.object(logformat, "_UNIT_BYTES", cut):
         assert logformat.log_units(path)[1][0] == cut
-        units = logformat.read_log(path, (AUTH,))
-    whole = logformat.read_log(path, (AUTH,))
+        units = logformat.read_logs([path], (AUTH,))[0]
+    whole = logformat.read_logs([path], (AUTH,))[0]
     for a, b in zip(units[1:], whole[1:]):
         assert a.tobytes() == b.tobytes()
     assert units[0] == whole[0]
     latency = rows[response]["time"] - rows[request]["time"]
-    auth = _step_latencies(path, AUTH)["SMBHyb_rem-000"]
+    auth = _kept_latencies(path, AUTH)["SMBHyb_rem-000"]
     assert auth[0] == latency > 100.0
 
 

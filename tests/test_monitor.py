@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attachsim import (
-    AttachRecord,
     AttachStep,
     ConfigError,
     DegenerateInput,
@@ -16,17 +15,18 @@ from attachsim import (
     DetectPolicy,
     EmptyWindow,
     LatencyStats,
-    MalformedRecord,
     Outcome,
-    ReauthPolicy,
-    RngStream,
-    SignalingMessage,
     classify,
-    compute_step_latencies,
     welch_t,
 )
-from attachsim.core import TIME_QUANTUM_MS
-from attachsim.monitor import _student_sf, schedule_devices
+from attachsim.core import TIME_QUANTUM_MS, MalformedRecord, RngStream
+from attachsim.monitor import (
+    ReauthPolicy,
+    _student_sf,
+    compute_step_latencies,
+    schedule_devices,
+)
+from attachsim.protocol import AttachRecord, SignalingMessage
 
 
 def _record(times_steps, device="dev-000", outcome=Outcome.Completed):

@@ -7,36 +7,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from attachsim import (
-    ATTACH_SEQUENCE,
     AttachStep,
     ConfigError,
     DeviceProfile,
-    EventClock,
-    NetworkConfig,
     Outcome,
-    RngStream,
-    SignalingMessage,
     TransmissionModel,
-    run_attach,
-    run_attaches,
-    step_named,
-    validate_sequence,
+    channel_for,
 )
-from attachsim import aka, channel_for
+from attachsim import aka
 from attachsim import channel as chan_mod
 from attachsim.channel import auth_channel_batch
-from attachsim.core import TIME_LIMIT_MS, TIME_QUANTUM_MS
+from attachsim.core import TIME_LIMIT_MS, TIME_QUANTUM_MS, RngStream
 from attachsim.monitor import ReauthPolicy, schedule_devices
 from attachsim.protocol import (
     _COMPLETED,
     _REJECT,
     _TIMEOUT,
+    ATTACH_SEQUENCE,
     OPTIONAL_STEPS,
     OUTCOMES,
     _STEP_FLOOR_Q,
     DeviceAttaches,
+    NetworkConfig,
+    SignalingMessage,
     _lattice,
     run_devices,
+    step_named,
+    validate_sequence,
 )
 
 EXPECTED_SEQUENCE = [
@@ -124,8 +121,8 @@ def test_attach_deterministic(attach_once):
 
 def test_zero_profile_hits_step_floor_exactly(plain_channel):
     profile = _flat_profile(0.0, 0.0)
-    record = run_attach(profile, plain_channel, NetworkConfig(),
-                        EventClock(0.0), RngStream(1))
+    record = run_devices(profile, plain_channel, NetworkConfig(), [[0.0]],
+                         [RngStream(1)], ["flat"])[0].records()[0]
     deltas = [b.time - a.time for a, b in zip(record.messages, record.messages[1:])]
     assert deltas == [_STEP_FLOOR_Q] * 10
     assert record.span_ms == 10 * _STEP_FLOOR_Q
@@ -150,22 +147,22 @@ def test_auth_timeout_cuts_sequence(plain_channel):
     slow = dict(profile.step_latency)
     slow[AttachStep.AuthenticationResponse] = (50_000.0, 0.0)
     profile = replace(profile, step_latency=slow)
-    record = run_attach(profile, plain_channel, NetworkConfig(),
-                        EventClock(0.0), RngStream(1))
+    record = run_devices(profile, plain_channel, NetworkConfig(), [[0.0]],
+                         [RngStream(1)], ["flat"])[0].records()[0]
     assert record.outcome is Outcome.AuthTimeout
     assert record.messages[-1].message == "AuthenticationResponse"
     assert len(record.messages) == 5
     # a longer supervision timer lets the same device finish
-    record = run_attach(profile, plain_channel,
-                        NetworkConfig(auth_timer_ms=100_000.0),
-                        EventClock(0.0), RngStream(1))
+    record = run_devices(profile, plain_channel,
+                         NetworkConfig(auth_timer_ms=100_000.0), [[0.0]],
+                         [RngStream(1)], ["flat"])[0].records()[0]
     assert record.outcome is Outcome.Completed
 
 
 def test_auth_reject_on_mismatched_sim_key(plain_channel):
     profile = _flat_profile(1.0, 0.0, auth_misconfigured=True)
-    record = run_attach(profile, plain_channel, NetworkConfig(),
-                        EventClock(0.0), RngStream(1))
+    record = run_devices(profile, plain_channel, NetworkConfig(), [[0.0]],
+                         [RngStream(1)], ["flat"])[0].records()[0]
     assert record.outcome is Outcome.AuthReject
     assert record.messages[-1].message == "AuthenticationRequest"
     assert len(record.messages) == 4
@@ -179,8 +176,8 @@ def test_channel_kind_mismatch_rejected(profiles, channels):
             ("SMBPor_rem", channels["SMBHyb_rem"], "remote_tcp")):
         with pytest.raises(ConfigError, match=f"expects channel kind "
                            f"'{profiles[name].channel_kind}', got '{got}'$"):
-            run_attach(profiles[name], channel, NetworkConfig(),
-                       EventClock(0.0), RngStream(1))
+            run_devices(profiles[name], channel, NetworkConfig(), [[0.0]],
+                        [RngStream(1)], [name])
 
 
 def test_validator_accepts_all_builtin_runs(profiles, channels, attach_once):
@@ -192,8 +189,8 @@ def test_validator_accepts_all_builtin_runs(profiles, channels, attach_once):
 
 def test_validator_accepts_partial_outcomes(plain_channel):
     profile = _flat_profile(1.0, 0.0, auth_misconfigured=True)
-    record = run_attach(profile, plain_channel, NetworkConfig(),
-                        EventClock(0.0), RngStream(1))
+    record = run_devices(profile, plain_channel, NetworkConfig(), [[0.0]],
+                         [RngStream(1)], ["flat"])[0].records()[0]
     assert validate_sequence(record, profile).ok
 
 
@@ -283,44 +280,14 @@ def test_property_span_conservation(attach_once, seed, name):
     assert sum(deltas) == record.span_ms
 
 
-def test_event_clock_rejects_rewind():
-    clock = EventClock(10.0)
-    clock.advance(5.0)
-    assert clock.now == 15.0
-    with pytest.raises(ValueError):
-        clock.advance(-0.1)
-
-
-def test_run_attach_is_first_attach_of_run_attaches(profiles, channels):
-    network = NetworkConfig(transmission=TransmissionModel())
-    for name, builtin in profiles.items():
-        for wrong_key in (False, True):
-            profile = replace(builtin, auth_misconfigured=wrong_key,
-                              device_id=f"{name}-000")
-            clock = EventClock(1234.5)
-            single = run_attach(profile, channels[name], network, clock,
-                                RngStream(7), attach_seq=3)
-            first = run_attaches(profile, channels[name], network, [1234.5],
-                                 RngStream(7)).records()[0]
-            assert single.attach_seq == 3 and first.attach_seq == 0
-            assert single.messages == first.messages, name
-            assert single.outcome is first.outcome
-            assert single.outcome is (Outcome.AuthReject if wrong_key
-                                      else Outcome.Completed)
-            assert (single.auth_transfer_ms, single.auth_processing_ms) == \
-                (first.auth_transfer_ms, first.auth_processing_ms)
-            assert (single.auth_transfer_ms is None) is (
-                wrong_key or channels[name] is None)
-            assert clock.now == single.messages[-1].time
-
-
 def test_run_attaches_outcome_per_attach(plain_channel):
     slow = dict(_flat_profile(1.0, 0.0).step_latency)
     slow[AttachStep.AuthenticationResponse] = (100.0, 50.0)
     profile = _flat_profile(1.0, 0.0, step_latency=slow)
     network = NetworkConfig(auth_timer_ms=100.0)
     starts = [1000.0 * i for i in range(200)]
-    dev = run_attaches(profile, plain_channel, network, starts, RngStream(3))
+    [dev] = run_devices(profile, plain_channel, network, [starts],
+                        [RngStream(3)], ["flat"])
     auth = dev.steps.index(AttachStep.AuthenticationResponse)
     latency = dev.times[:, auth] - dev.times[:, auth - 1]
     timed_out = latency > 100.0
@@ -331,16 +298,17 @@ def test_run_attaches_outcome_per_attach(plain_channel):
     assert (dev.times[:, 0] == starts).all()
     assert dev.times.shape == (200, 11)
 
-    rejected = run_attaches(replace(profile, auth_misconfigured=True),
-                            plain_channel, network, starts, RngStream(3))
+    [rejected] = run_devices(replace(profile, auth_misconfigured=True),
+                             plain_channel, network, [starts], [RngStream(3)],
+                             ["flat"])
     assert {OUTCOMES[c] for c in rejected.outcomes} == {Outcome.AuthReject}
     assert (rejected.counts == auth).all()  # up to AuthenticationRequest
 
 
 def test_run_attaches_serialises_overlap(plain_channel):
     profile = _flat_profile(10.0, 0.0)
-    dev = run_attaches(profile, plain_channel, NetworkConfig(),
-                       [0.0, 5.0, 500.0], RngStream(1))
+    [dev] = run_devices(profile, plain_channel, NetworkConfig(),
+                        [[0.0, 5.0, 500.0]], [RngStream(1)], ["flat"])
     ends = dev.times[:, -1]
     assert ends[0] == 100.0
     # the second attach would start mid-way through the first
@@ -350,11 +318,11 @@ def test_run_attaches_serialises_overlap(plain_channel):
 
 def test_run_attaches_rejects_channel_kind_mismatch(profiles, channels):
     with pytest.raises(ConfigError):
-        run_attaches(profiles["SMBHyb_rem"], channels["FairPhone5G"],
-                     NetworkConfig(), [0.0], RngStream(1))
+        run_devices(profiles["SMBHyb_rem"], channels["FairPhone5G"],
+                    NetworkConfig(), [[0.0]], [RngStream(1)], ["SMBHyb_rem"])
 
 
-def _reference_run_attaches(profile, channel, network, starts, rng):
+def _reference_device(profile, channel, network, starts, rng, device_id):
     """One device's attaches the way the kernel ran them one device at a
     time, with a Python loop for the overlap serialisation: the oracle of
     the batch kernel."""
@@ -396,8 +364,8 @@ def _reference_run_attaches(profile, channel, network, starts, rng):
         last = begin[i] + span
     if not last < TIME_LIMIT_MS:
         raise ConfigError("timestamp limit")
-    return DeviceAttaches(profile.device_id or profile.name, profile.name,
-                          steps, np.asarray(begin)[:, None] + offsets, counts,
+    return DeviceAttaches(device_id, profile.name, steps,
+                          np.asarray(begin)[:, None] + offsets, counts,
                           outcomes, transfer, processing)
 
 
@@ -437,15 +405,14 @@ def _batch_equals_singles(profile, channel, network, policy, day, devices=5,
     batch = run_devices(profile, channel, network,
                         schedule_devices(policy, day, rngs), rngs, ids)
     for i, dev in enumerate(batch):
-        single = replace(profile, device_id=ids[i])
         rng = RngStream(seed).substream(i)
-        starts = schedule_devices(policy, day, [rng])[0]
-        _assert_same_attaches(dev, run_attaches(single, channel, network,
-                                                starts, rng))
+        starts = schedule_devices(policy, day, [rng])
+        _assert_same_attaches(dev, run_devices(profile, channel, network,
+                                               starts, [rng], [ids[i]])[0])
         rng = RngStream(seed).substream(i)
         starts = _reference_schedule(policy, day, rng)
-        _assert_same_attaches(dev, _reference_run_attaches(
-            single, channel, network, starts, rng))
+        _assert_same_attaches(dev, _reference_device(
+            profile, channel, network, starts, rng, ids[i]))
     return batch
 
 

@@ -1,3 +1,5 @@
+import ast
+import copy
 import hashlib
 import json
 import math
@@ -23,23 +25,24 @@ from attachsim import (
     DetectPolicy,
     EmptyWindow,
     FleetEntry,
-    NetworkConfig,
     Outcome,
     ParseError,
-    ReauthPolicy,
-    RngStream,
     ScenarioConfig,
     channel_for,
     emit_distribution,
     parse_config,
-    parse_logs,
-    run_attaches,
     run_detection,
     run_scenario,
 )
 from attachsim import forkjoin, scenario
 from attachsim.aka import algorithm_named
-from attachsim.channel import OnlinePenalty, ProcessingPhase, remote_udp
+from attachsim.channel import (
+    COUPLED_SERIAL,
+    OnlinePenalty,
+    ProcessingPhase,
+    RttDistribution,
+    remote_udp,
+)
 from attachsim.cli import main
 from attachsim.core import (
     DECIMALS,
@@ -49,12 +52,24 @@ from attachsim.core import (
     TIME_LIMIT_MS,
     DegenerateInput,
     MalformedRecord,
+    RngStream,
     fmt_ms,
     lattice_repr,
 )
-from attachsim.fleet import TransmissionModel, builtin_profiles
-from attachsim.monitor import compute_step_latencies, schedule_devices
-from attachsim.protocol import ATTACH_SEQUENCE, AttachStep, DeviceAttaches
+from attachsim.fleet import _CHANNEL_SCHEMA, TransmissionModel, builtin_profiles
+from attachsim.monitor import (
+    ReauthPolicy,
+    compute_step_latencies,
+    schedule_devices,
+)
+from attachsim.protocol import (
+    ATTACH_SEQUENCE,
+    AttachStep,
+    DeviceAttaches,
+    NetworkConfig,
+    run_devices,
+)
+from attachsim.scenario import parse_logs
 
 MINIMAL = {
     "version": 1,
@@ -895,9 +910,10 @@ def _crossing(cfg, entry: int) -> list[int]:
     for i in range(cfg.fleet[entry].count):
         rng = RngStream(cfg.seed).substream(first + i)
         starts = schedule_devices(ReauthPolicy(1), (0.0, cfg.day_span_ms),
-                                  [rng])[0]
+                                  [rng])
         try:
-            run_attaches(profile, channel_for(profile), network, starts, rng)
+            run_devices(profile, channel_for(profile), network, starts, [rng],
+                        [profile.name])
         except ConfigError:
             crossing.append(i)
     return crossing
@@ -1027,6 +1043,105 @@ def test_library_config_is_checked_as_parse_config_checks_it():
                                           "unknown keys"):
         parse_config(_with(("channels", "remote_tcp", "bogus"), 1),
                      ctx="cfg.json")
+
+
+def test_config_channels_are_read_only_after_construction(tmp_path):
+    """The relays are built when the config is made, so an edit of its
+    `channels` would go unrun: an edit is a TypeError, at any depth, and
+    the caller's mapping is copied."""
+    cfg = ScenarioConfig(seed=1, fleet=(FleetEntry("SMBHyb_rem", 1),),
+                         attaches_per_device=2, calibrate=False)
+    with pytest.raises(TypeError):
+        cfg.channels["remote_tcp"] = {"rtt": {"kind": "constant",
+                                              "value": 1500.0}}
+    raw = {"remote_tcp": {"rtt": {"kind": "constant", "value": 40.0}}}
+    cfg = replace(cfg, channels=raw)
+    raw["remote_tcp"]["rtt"]["value"] = 1500.0
+    with pytest.raises(TypeError):
+        cfg.channels["remote_tcp"]["rtt"]["value"] = 1500.0
+    with pytest.raises(TypeError):
+        cfg.channels["remote_tcp"]["sessions_auth"] = 1
+    assert cfg.channels == {"remote_tcp": {"rtt": {"kind": "constant",
+                                                   "value": 40.0}}}
+    # replace() takes the read-only form back; pickling and deep copies
+    # rebuild the config from its fields
+    for again in (replace(cfg, seed=2), pickle.loads(pickle.dumps(cfg)),
+                  copy.deepcopy(cfg)):
+        assert again.channels == cfg.channels
+        assert again._parts[4]["SMBHyb_rem"].rtt.median_ms == 40.0
+        with pytest.raises(TypeError):
+            again.channels["remote_tcp"]["rtt"]["value"] = 1500.0
+    summary = run_scenario(cfg, tmp_path / "run").summary_path.read_text()
+    assert summary == run_scenario(parse_config(dict(
+        MINIMAL, seed=1, fleet=[{"profile": "SMBHyb_rem", "count": 1}],
+        attaches_per_device=2, calibrate=False,
+        channels={"remote_tcp": {"rtt": {"kind": "constant", "value": 40.0}}})),
+        tmp_path / "parsed").summary_path.read_text()
+
+
+def test_a_channels_section_is_read_once_per_profile_using_it(tmp_path,
+                                                             monkeypatch):
+    """An empirical rtt file is read once for each profile whose relay it
+    builds, and once if no profile uses its section, which is still
+    checked."""
+    rtt = tmp_path / "rtt.txt"
+    rtt.write_text("40.0\n60.0\n")
+    reads = []
+    from_file = RttDistribution.from_file.__func__
+
+    def counted(cls, path):
+        reads.append(path)
+        return from_file(cls, path)
+
+    monkeypatch.setattr(RttDistribution, "from_file", classmethod(counted))
+    section = {"rtt": {"kind": "empirical", "path": str(rtt)}}
+    other_box = replace(builtin_profiles()["SMBHyb_rem"], name="OtherBox")
+    for names, kind, expected in (
+            (("SMBHyb_rem",), "remote_tcp", 1),
+            (("SMBHyb_rem", "SMBHyb_rem"), "remote_tcp", 1),
+            (("SMBHyb_rem", other_box), "remote_tcp", 2),
+            (("FairPhone5G",), "remote_tcp", 1),
+            (("SMBHyb_rem",), "remote_udp", 1)):
+        reads.clear()
+        ScenarioConfig(seed=1, fleet=tuple(FleetEntry(p, 1) for p in names),
+                       channels={kind: section})
+        assert reads == [str(rtt)] * expected, (names, kind)
+
+
+def _readme_section(title: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_package_root_is_what_readme_library_use_documents():
+    """Each name the package root exports is named in README's "Library
+    use", and each name its code imports from attachsim is exported."""
+    section = _readme_section("Library use")
+    for name in attachsim.__all__:
+        assert re.search(rf"\b{name}\b", section), name
+    imported = [alias.name
+                for block in re.findall(r"```python\n(.*?)```", section,
+                                        flags=re.S)
+                for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "attachsim"
+                for alias in node.names]
+    assert imported and set(imported) <= set(attachsim.__all__)
+
+
+def test_readme_tables_list_the_config_schemas():
+    """README's config table lists exactly the top-level config keys, and
+    its channel table exactly each relay kind's keys."""
+    tables = {table.split()[1]: table for table in re.findall(
+        r"^(\| \w+ .*?)\n\n", _readme_section("Scenario config"),
+        flags=re.M | re.S)}
+    keys = re.findall(r"^\| `(\w+)` +\|", tables["key"], flags=re.M)
+    assert sorted(keys) == sorted(scenario._CONFIG_SCHEMA)
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", tables["kind"], flags=re.M)
+    assert len(rows) == 2
+    assert {kind: sorted(re.findall(r"`(\w+)`", cell)) for kind, cell in rows} \
+        == {kind: sorted(schema) for kind, schema in _CHANNEL_SCHEMA.items()
+            if kind != COUPLED_SERIAL}
 
 
 # SMBHyb_rem's 15 sessions of two 500 ms round trips take longer than its
@@ -1844,11 +1959,11 @@ def test_simulate_bytes_do_not_depend_on_which_process_runs_an_entry(
                 for name in _EVERY_OUTCOME_SHA256} == _EVERY_OUTCOME_SHA256
         digests = _quickstart_digests(tmp_path / f"{mode}-quickstart")
         assert {name: digests[name] for name in pinned} == pinned, mode
-        # _EVERY_OUTCOME's 5 entries, then the quick-start's 2 and 1, and
-        # its detect's 2 read units, one per log
+        # _EVERY_OUTCOME's 5 entries, then the quick-start's 2 and 1, its
+        # detect's 2 read units, one per log, and its distribution's 1
         if mode == "forked":
             assert parent_took == [
-                unit for n in (5, 2, 1, 2) for unit in range(n)
+                unit for n in (5, 2, 1, 2, 1) for unit in range(n)
                 if not _CHILD_TAKES[plan](unit)]
 
 
