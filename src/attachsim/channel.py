@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -198,19 +198,22 @@ class OnlinePenalty:
 
 @dataclass(frozen=True)
 class SimChannel:
+    """A relay.  It reads every setting whatever its `kind`, which names
+    the RELAY_DEFAULTS row it was built from and must be its profile's."""
+
     kind: str
     rtt: RttDistribution
     sessions_auth: int
-    packets_per_session: int = 4
-    handshake_packets: int = 0          # TCP-like setup, counted once per attach
-    ack_cost_ms: float = 0.0            # per-packet cost on reliable transports
-    loss_prob: float = 0.0              # datagram transports only
-    retransmit_timeout_ms: float = 200.0
-    processing_phases: tuple[ProcessingPhase, ...] = ()
-    online: OnlinePenalty = field(default_factory=OnlinePenalty)
+    packets_per_session: int
+    handshake_packets: int  # once per attach, half a round trip each
+    ack_cost_ms: float  # per packet
+    loss_prob: float  # per packet, which is retried until delivered
+    retransmit_timeout_ms: float  # the first retry's wait; see BACKOFF_CAP
+    processing_phases: tuple[ProcessingPhase, ...]
+    online: OnlinePenalty
 
     def __post_init__(self):
-        if self.kind not in (REMOTE_TCP, REMOTE_UDP):
+        if self.kind not in RELAY_DEFAULTS:
             raise ConfigError(f"{self.kind!r} is not a relay kind")
         if not 0.0 <= self.loss_prob < 1.0:
             # at 1.0 no packet is ever delivered, so a session never ends
@@ -231,63 +234,41 @@ class SimChannel:
                 np.array([p.std_ms for p in self.processing_phases]))
 
 
-def remote_tcp(rtt: RttDistribution | None = None, sessions_auth: int = 15,
-               packets_per_session: int = 4, ack_cost_ms: float = 0.075,
-               online: OnlinePenalty | None = None,
-               processing_phases: tuple[ProcessingPhase, ...] | None = None,
-               ) -> SimChannel:
-    """Reliable-ordered relay: 15 four-packet sessions plus a 3-packet
-    handshake gives 63 packets during authentication, 4 more at attach
-    complete."""
+# Each relay kind's defaults: the SimChannel settings its `channels`
+# section may set (a value's type is its key's JSON type), the ones it may
+# not, and its processing phases as site: (count, mean_ms, std_ms).  The
+# reliable-ordered (TCP-like) relay sends 63 packets, the datagram one 36.
+RELAY_DEFAULTS = {
+    REMOTE_TCP: ({"sessions_auth": 15, "packets_per_session": 4,
+                  "ack_cost_ms": 0.075},
+                 {"handshake_packets": 3, "loss_prob": 0.0,
+                  "retransmit_timeout_ms": 200.0},
+                 {"SimBank": (8, 218.0, 8.0), "Gateway": (6, 211.0, 6.0)}),
+    REMOTE_UDP: ({"sessions_auth": 9, "packets_per_session": 4,
+                  "loss_prob": 0.02, "retransmit_timeout_ms": 200.0},
+                 {"handshake_packets": 0, "ack_cost_ms": 0.0},
+                 {"SimBank": (6, 236.1, 116.3), "Gateway": (6, 139.3, 73.6)}),
+}
+
+
+def build_channel(kind: str, rtt: RttDistribution | None = None,
+                  online: OnlinePenalty | None = None,
+                  processing_phases: tuple[ProcessingPhase, ...] | None = None,
+                  **settings) -> SimChannel:
+    """The `kind` relay of RELAY_DEFAULTS with `settings` over its
+    defaults: over the packaged round trips unless `rtt` is given, with
+    no online penalty unless `online` is."""
+    if kind not in RELAY_DEFAULTS:
+        raise ConfigError(f"{kind!r} is not a relay kind")
+    settable, fixed, phases = RELAY_DEFAULTS[kind]
     if processing_phases is None:
-        processing_phases = (
-            tuple(ProcessingPhase("SimBank", 218.0, 8.0) for _ in range(8))
-            + tuple(ProcessingPhase("Gateway", 211.0, 6.0) for _ in range(6))
-        )
-    return SimChannel(
-        kind=REMOTE_TCP,
-        rtt=rtt if rtt is not None else builtin_remote_rtt(),
-        sessions_auth=sessions_auth,
-        packets_per_session=packets_per_session,
-        handshake_packets=3,
-        ack_cost_ms=ack_cost_ms,
-        processing_phases=processing_phases,
-        online=online if online is not None else OnlinePenalty(),
-    )
-
-
-def remote_udp(rtt: RttDistribution | None = None, sessions_auth: int = 9,
-               packets_per_session: int = 4, loss_prob: float = 0.02,
-               retransmit_timeout_ms: float = 200.0,
-               online: OnlinePenalty | None = None,
-               processing_phases: tuple[ProcessingPhase, ...] | None = None,
-               ) -> SimChannel:
-    """Datagram relay: 36 packets during authentication, 2 at attach
-    complete; lost packets are retransmitted after a timeout that backs
-    off exponentially (factor 2, capped at 8x)."""
-    if processing_phases is None:
-        processing_phases = (
-            tuple(ProcessingPhase("SimBank", 236.1, 116.3) for _ in range(6))
-            + tuple(ProcessingPhase("Gateway", 139.3, 73.6) for _ in range(6))
-        )
-    return SimChannel(
-        kind=REMOTE_UDP,
-        rtt=rtt if rtt is not None else builtin_remote_rtt(),
-        sessions_auth=sessions_auth,
-        packets_per_session=packets_per_session,
-        loss_prob=loss_prob,
-        retransmit_timeout_ms=retransmit_timeout_ms,
-        processing_phases=processing_phases,
-        online=online if online is not None else OnlinePenalty(),
-    )
-
-
-def build_channel(kind: str, **kwargs) -> SimChannel:
-    if kind == REMOTE_TCP:
-        return remote_tcp(**kwargs)
-    if kind == REMOTE_UDP:
-        return remote_udp(**kwargs)
-    raise ConfigError(f"{kind!r} is not a relay kind")
+        processing_phases = tuple(ProcessingPhase(site, mean, std)
+                                  for site, (n, mean, std) in phases.items()
+                                  for _ in range(n))
+    return SimChannel(kind=kind, rtt=rtt or builtin_remote_rtt(),
+                      processing_phases=processing_phases,
+                      online=online or OnlinePenalty(),
+                      **{**settable, **fixed, **settings})
 
 
 def _backoff_prefix(top: int) -> np.ndarray:
@@ -308,8 +289,7 @@ def _phase_draws(channel: SimChannel, gen: np.random.Generator, m: int
     transfers = channel.rtt.sample(gen, m * _rtt_width(channel))
     packets = channel.sessions_auth * channel.packets_per_session
     attempts = gen.geometric(1.0 - channel.loss_prob, (m, packets)) if (
-        channel.kind == REMOTE_UDP and channel.loss_prob > 0.0 and packets
-    ) else None
+        channel.loss_prob > 0.0 and packets) else None
     online = channel.online.draw(gen, m) if channel.online.enabled else None
     normals = gen.standard_normal((m, len(channel.processing_phases)))
     return transfers, attempts, online, normals
@@ -371,10 +351,8 @@ def _phase_totals(channel: SimChannel, stack: list[tuple]
         transfer = setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1)
     else:
         transfer = rtts.sum(axis=1)
-    if channel.kind == REMOTE_TCP:
-        transfer = transfer + (channel.sessions_auth
-                               * channel.packets_per_session
-                               * channel.ack_cost_ms)
+    transfer += (channel.sessions_auth * channel.packets_per_session
+                 * channel.ack_cost_ms)
     if attempts is not None:
         # every packet is retried until delivered: lost attempts per packet
         losses = attempts - 1
@@ -424,12 +402,10 @@ def _expected_transfer_ms(channel: SimChannel) -> float:
     """Exact mean transfer time of the authentication phase, online
     penalty included, as auth_channel_batch samples it."""
     rtt = channel.rtt.mean_ms
-    session = 2.0 * rtt
-    if channel.kind == REMOTE_TCP:
-        session += channel.packets_per_session * channel.ack_cost_ms
-    elif channel.kind == REMOTE_UDP:
-        session += (channel.packets_per_session * channel.retransmit_timeout_ms
-                    * _expected_backoff(channel))
+    packets = channel.packets_per_session
+    session = 2.0 * rtt + (packets * channel.ack_cost_ms
+                           + packets * channel.retransmit_timeout_ms
+                           * _expected_backoff(channel))
     online = channel.online
     penalty = _floored_normal_mean(online.mean_ms, online.std_ms, 0.0)[0] \
         if online.enabled else 0.0

@@ -81,7 +81,7 @@ class DeviceProfile:
     sensitivity_rsrp: float
     auth_alg: AuthAlgorithm = XOR_TEST
     subscriber_key: SubscriberKey | None = None
-    # remote profiles: target mean for the derived authentication latency
+    # remote profiles only: target mean of the relay's authentication latency
     calibration_target_ms: float | None = None
     # catalog bookkeeping: the published per-profile total, for cross-checks
     expected_total_ms: float | None = None
@@ -100,6 +100,10 @@ class DeviceProfile:
         missing = [s.name for s in self.enabled_steps if s not in self.step_latency]
         if missing:
             raise ConfigError(f"{self.name}: no latency entry for {missing}")
+        unrun = [s.name for s in self.step_latency if s not in self.enabled_steps]
+        if unrun:
+            raise ConfigError(f"{self.name}: latency entries for {unrun}, "
+                              f"steps it does not run")
         if any(std < 0 for _, std in (*self.step_latency.values(),
                                       (0.0, self.auth_alg.latency_std_ms))):
             raise ConfigError(f"{self.name}: a latency std is negative")
@@ -108,6 +112,9 @@ class DeviceProfile:
         if self.calibration_target_ms is not None:
             require_finite(self.name,
                            calibration_target_ms=self.calibration_target_ms)
+            if self.channel_kind == chan.COUPLED_SERIAL:
+                raise ConfigError(f"{self.name}: calibration_target_ms is a "
+                                  f"relay's; a coupled profile has none")
         if self.subscriber_key is None:
             # stable per-profile default key
             digest = hashlib.sha256(self.name.encode()).digest()
@@ -247,34 +254,32 @@ def builtin_profiles() -> dict[str, DeviceProfile]:
     return out
 
 
-_RTT_SCHEMA = {"kind": str, "value": float, "median": float, "sigma": float,
-               "path": str}
+# Each rtt kind's keys, in the order of the arguments of the
+# RttDistribution constructor it names; all are required but a sigma.
+_RTT_KINDS = {"constant": ({"value": float}, "constant"),
+              "lognormal": ({"median": float, "sigma": float}, "lognormal"),
+              "empirical": ({"path": str}, "from_file")}
 
 
 def _parse_rtt(raw: dict, ctx: str) -> chan.RttDistribution:
-    spec = read_section(raw, ctx, _RTT_SCHEMA, required={"kind"})
-    kind = spec["kind"]
-    try:
-        if kind == "constant":
-            return chan.RttDistribution.constant(spec["value"])
-        if kind == "lognormal":
-            return chan.RttDistribution.lognormal(spec["median"],
-                                                  spec.get("sigma", 0.35))
-        if kind == "empirical":
-            return chan.RttDistribution.from_file(spec["path"])
-    except KeyError as exc:
-        raise ConfigError(f"{ctx}: missing key {exc} for kind {kind!r}") from None
-    raise ConfigError(f"{ctx}: unknown rtt kind {kind!r}")
+    """The round trips of an `rtt` section, which takes its kind's keys."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if isinstance(kind, str) and kind not in _RTT_KINDS:
+        raise ConfigError(f"{ctx}: unknown rtt kind {kind!r}")
+    # a kind that is missing or not a string fails read_section below
+    schema, make = _RTT_KINDS[kind] if isinstance(kind, str) else ({}, None)
+    spec = read_section(raw, ctx, {"kind": str, **schema},
+                        required={"kind", *schema} - {"sigma"})
+    return getattr(chan.RttDistribution, make)(
+        *(spec[key] for key in schema if key in spec))
 
 
 _CHANNEL_SCHEMA = {
     # a coupled profile samples its auth step from its step table
     chan.COUPLED_SERIAL: {},
-    chan.REMOTE_TCP: {"rtt": dict, "online": dict, "sessions_auth": int,
-                      "packets_per_session": int, "ack_cost_ms": float},
-    chan.REMOTE_UDP: {"rtt": dict, "online": dict, "sessions_auth": int,
-                      "packets_per_session": int, "loss_prob": float,
-                      "retransmit_timeout_ms": float},
+    **{kind: {"rtt": dict, "online": dict,
+              **{key: type(value) for key, value in settable.items()}}
+       for kind, (settable, _, _) in chan.RELAY_DEFAULTS.items()},
 }
 _ONLINE_SCHEMA = {"enabled": bool, "mean_ms": float, "std_ms": float}
 

@@ -74,13 +74,17 @@ DAY_MS = 86_400_000.0
 
 @dataclass(frozen=True)
 class FleetEntry:
-    profile: str | dict
+    profile: str | DeviceProfile  # a builtin's name, or an inline profile
     count: int
     wrong_key: bool = False
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("fleet entry count must be at least 1")
+        if not isinstance(self.profile, (str, DeviceProfile)):
+            # an inline profile's JSON object, held as the profile it gives
+            object.__setattr__(self, "profile",
+                               _parse_inline_profile(self.profile, "profile"))
 
 
 @dataclass(frozen=True)
@@ -226,10 +230,10 @@ def parse_config(raw: dict, ctx: str = "config") -> ScenarioConfig:
         entry = read_section(item, ectx, {"profile": (str, dict), "count": int,
                                           "wrong_key": bool},
                              required={"profile", "count"})
-        if isinstance(entry["profile"], dict):
-            entry["profile"] = _parse_inline_profile(entry["profile"],
-                                                     f"{ectx} profile")
-        entries.append(FleetEntry(**entry))
+        try:
+            entries.append(FleetEntry(**entry))
+        except ConfigError as exc:
+            raise ConfigError(f"{ectx} {exc}") from None
     spec["fleet"] = tuple(entries)
     spec["transmission"] = TransmissionModel(**read_section(
         spec.get("transmission", {}), f"{ctx} transmission",
@@ -272,15 +276,12 @@ def _base_profiles(fleet: tuple[FleetEntry, ...]) -> list[DeviceProfile]:
     seen: dict[str, DeviceProfile] = {}
     out = []
     for entry in fleet:
-        if isinstance(entry.profile, DeviceProfile):
-            profile = entry.profile
-        elif isinstance(entry.profile, str):
-            if entry.profile not in catalog:
-                raise ConfigError(f"unknown profile {entry.profile!r}; "
+        profile = entry.profile
+        if isinstance(profile, str):
+            if profile not in catalog:
+                raise ConfigError(f"unknown profile {profile!r}; "
                                   f"builtin: {sorted(catalog)}")
-            profile = catalog[entry.profile]
-        else:
-            profile = _parse_inline_profile(entry.profile, "inline profile")
+            profile = catalog[profile]
         if seen.setdefault(profile.name, profile) != profile:
             raise ConfigError(f"fleet: two different profiles are named "
                               f"{profile.name!r}")

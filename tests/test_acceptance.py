@@ -35,9 +35,8 @@ from attachsim.aka import (
 )
 from attachsim.channel import (
     auth_channel_batch,
+    build_channel,
     min_transfer_floor,
-    remote_tcp,
-    remote_udp,
 )
 from attachsim.core import RngStream
 from attachsim.fleet import (
@@ -158,7 +157,7 @@ def test_accept_02_decoupling_ratios(fleet_run):
 
 def test_accept_03_two_rtt_floor():
     assert 2.0 * 57.4 == 114.8  # the bound is exact in binary floats
-    tcp, udp = remote_tcp(), remote_udp()
+    tcp, udp = build_channel("remote_tcp"), build_channel("remote_udp")
     assert min_transfer_floor(tcp) == 114.8
     assert min_transfer_floor(udp) == 114.8
     lows = []

@@ -20,8 +20,6 @@ from attachsim.channel import (
     builtin_remote_rtt,
     calibrate_processing,
     min_transfer_floor,
-    remote_tcp,
-    remote_udp,
 )
 from attachsim.core import RngStream
 
@@ -71,20 +69,21 @@ def test_builtin_rtt_fixture_frozen():
 
 
 def test_tcp_session_is_two_rtts_plus_acks():
-    channel = remote_tcp(rtt=RttDistribution.constant(2.2))
+    channel = build_channel("remote_tcp", rtt=RttDistribution.constant(2.2))
     [value] = _sessions(channel, 1)
     assert value == pytest.approx(2 * 2.2 + 4 * 0.075, rel=1e-12)
 
 
 def test_tcp_auth_transfer_lan_oracle():
     # constant 2.2 ms rtt: handshake 1.5 rtt + 15 sessions of (2 rtt + 0.3)
-    channel = remote_tcp(rtt=RttDistribution.constant(2.2))
+    channel = build_channel("remote_tcp", rtt=RttDistribution.constant(2.2))
     transfer, _ = auth_channel_batch(channel, [RngStream(0).gen], [1])
     assert transfer[0] == pytest.approx(73.8, rel=1e-12)
 
 
 def test_udp_session_lossless_is_exactly_two_rtts():
-    channel = remote_udp(rtt=RttDistribution.constant(5.0), loss_prob=0.0)
+    channel = build_channel("remote_udp", rtt=RttDistribution.constant(5.0),
+                            loss_prob=0.0)
     assert _sessions(channel, 50) == [10.0] * 50
     transfer, _ = auth_channel_batch(channel, [RngStream(0).gen], [1])
     assert transfer[0] == 90.0
@@ -93,7 +92,7 @@ def test_udp_session_lossless_is_exactly_two_rtts():
 def test_udp_retransmission_cost_oracle():
     # loss 0.02, timeout 200, backoff x2 capped at 8: expected extra per
     # session of four packets is 16.6667 ms (geometric series)
-    channel = remote_udp(rtt=RttDistribution.constant(0.0))
+    channel = build_channel("remote_udp", rtt=RttDistribution.constant(0.0))
     mean = statistics.mean(_sessions(channel, 20_000, seed=4))
     assert abs(mean / 16.66664 - 1.0) < 0.10
 
@@ -101,24 +100,42 @@ def test_udp_retransmission_cost_oracle():
 def test_udp_loss_rate_monotone_in_mean():
     means = []
     for loss in (0.0, 0.05, 0.2):
-        channel = remote_udp(rtt=RttDistribution.constant(1.0), loss_prob=loss)
+        channel = build_channel("remote_udp", rtt=RttDistribution.constant(1.0),
+                                loss_prob=loss)
         means.append(statistics.mean(_sessions(channel, 3000, seed=5)))
     assert means[0] < means[1] < means[2]
     assert means[0] == 2.0
 
 
+def test_a_relay_reads_every_setting_whatever_its_kind():
+    """The kinds differ only in their defaults: a lossy reliable relay
+    waits on retransmissions, and a datagram relay pays an ack cost."""
+    gens, counts = [RngStream(5).gen], [200]
+    tcp = build_channel("remote_tcp")
+    lossless = auth_channel_batch(tcp, gens, counts)[0]
+    lossy = auth_channel_batch(replace(tcp, loss_prob=0.3),
+                               [RngStream(5).gen], counts)[0]
+    assert lossy.mean() > lossless.mean() + 1000.0
+    udp = build_channel("remote_udp")
+    free = auth_channel_batch(udp, [RngStream(5).gen], counts)[0]
+    acked = auth_channel_batch(replace(udp, ack_cost_ms=1.0),
+                               [RngStream(5).gen], counts)[0]
+    extra = udp.sessions_auth * udp.packets_per_session * 1.0
+    np.testing.assert_array_equal(acked, free + extra, strict=True)
+
+
 def test_min_transfer_floor_examples():
-    assert min_transfer_floor(remote_tcp()) == 114.8
-    assert min_transfer_floor(remote_udp()) == 114.8
+    assert min_transfer_floor(build_channel("remote_tcp")) == 114.8
+    assert min_transfer_floor(build_channel("remote_udp")) == 114.8
     assert 2.0 * 57.4 == 114.8  # exact in binary floats
     assert min_transfer_floor(
-        remote_tcp(rtt=RttDistribution.constant(0.0))) == 0.0
+        build_channel("remote_tcp", rtt=RttDistribution.constant(0.0))) == 0.0
     rtt = RttDistribution.empirical([10.0, 20.0, 40.0])
-    assert min_transfer_floor(remote_udp(rtt=rtt)) == 40.0
+    assert min_transfer_floor(build_channel("remote_udp", rtt=rtt)) == 40.0
 
 
 def test_auth_transfer_never_below_floor():
-    for channel in (remote_tcp(), remote_udp()):
+    for channel in (build_channel("remote_tcp"), build_channel("remote_udp")):
         floor = min_transfer_floor(channel)
         transfer, _ = auth_channel_batch(channel, [RngStream(6).gen] * 500,
                                          [1] * 500)
@@ -127,18 +144,19 @@ def test_auth_transfer_never_below_floor():
 
 def test_processing_totals_uncalibrated():
     # tcp: 8 x N(218, 8) + 6 x N(211, 6), clamp at 1 ms is negligible
-    tcp_mean = auth_channel_batch(remote_tcp(), [RngStream(7).gen] * 1500,
-                                  [1] * 1500)[1].mean()
+    tcp_mean = auth_channel_batch(build_channel("remote_tcp"),
+                                  [RngStream(7).gen] * 1500, [1] * 1500)[1].mean()
     assert abs(tcp_mean / 3010.0 - 1.0) < 0.015
     # udp: 6 x N(236.1, 116.3) + 6 x N(139.3, 73.6), clamp shifts the
     # analytic mean to 2263.1
-    udp_mean = auth_channel_batch(remote_udp(), [RngStream(8).gen] * 1500,
-                                  [1] * 1500)[1].mean()
+    udp_mean = auth_channel_batch(build_channel("remote_udp"),
+                                  [RngStream(8).gen] * 1500, [1] * 1500)[1].mean()
     assert abs(udp_mean / 2263.1 - 1.0) < 0.02
 
 
 def test_packet_counts_frozen():
-    for channel, packets in ((remote_tcp(), 63), (remote_udp(), 36)):
+    for channel, packets in ((build_channel("remote_tcp"), 63),
+                             (build_channel("remote_udp"), 36)):
         assert channel.sessions_auth * channel.packets_per_session \
             + channel.handshake_packets == packets
 
@@ -155,9 +173,9 @@ def test_online_penalty():
 
 
 def test_online_penalty_raises_channel_mean():
-    base = remote_tcp(rtt=RttDistribution.constant(2.0))
-    slow = remote_tcp(rtt=RttDistribution.constant(2.0),
-                      online=OnlinePenalty(enabled=True))
+    base = build_channel("remote_tcp", rtt=RttDistribution.constant(2.0))
+    slow = build_channel("remote_tcp", rtt=RttDistribution.constant(2.0),
+                         online=OnlinePenalty(enabled=True))
     base_mean = auth_channel_batch(base, [RngStream(11).gen] * 800,
                                    [1] * 800)[0].mean()
     slow_mean = auth_channel_batch(slow, [RngStream(11).gen] * 800,
@@ -166,7 +184,8 @@ def test_online_penalty_raises_channel_mean():
 
 
 def test_calibration_hits_target():
-    for channel, target in ((remote_tcp(), 2122.7), (remote_udp(), 1640.2)):
+    for channel, target in ((build_channel("remote_tcp"), 2122.7),
+                            (build_channel("remote_udp"), 1640.2)):
         tuned = calibrate_processing(channel, target)
         mean = sum(auth_channel_batch(tuned, [RngStream(12).gen] * 3000,
                                       [1] * 3000)).mean()
@@ -183,8 +202,8 @@ def test_exact_calibration_oracle():
     # scale, transfer is 1.5 rtt + 15 sessions of (2 rtt + 0.3) = 73.8 ms
     phases = (tuple(ProcessingPhase("SimBank", 218.0, 0.0) for _ in range(8))
               + tuple(ProcessingPhase("Gateway", 211.0, 0.0) for _ in range(6)))
-    channel = remote_tcp(rtt=RttDistribution.constant(2.2),
-                         processing_phases=phases)
+    channel = build_channel("remote_tcp", rtt=RttDistribution.constant(2.2),
+                            processing_phases=phases)
     tuned = calibrate_processing(channel, 2122.7)
     scale = tuned.processing_phases[0].mean_ms / 218.0
     assert scale == pytest.approx((2122.7 - 73.8) / 3010.0, rel=1e-12)
@@ -195,14 +214,15 @@ def test_exact_calibration_oracle():
 
 
 def test_calibrated_mean_is_exact_and_sampled():
-    channel = remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5),
-                         loss_prob=0.05,
-                         online=OnlinePenalty(enabled=True, mean_ms=100.0,
-                                              std_ms=80.0))
+    channel = build_channel("remote_udp",
+                            rtt=RttDistribution.lognormal(40.0, sigma=0.5),
+                            loss_prob=0.05,
+                            online=OnlinePenalty(enabled=True, mean_ms=100.0,
+                                                 std_ms=80.0))
     target = 2500.0
-    for base, goal in ((channel, target), (remote_tcp(), 2122.7),
-                       (remote_udp(), 1640.2),
-                       (remote_udp(loss_prob=0.05), 1640.2)):
+    for base, goal in ((channel, target), (build_channel("remote_tcp"), 2122.7),
+                       (build_channel("remote_udp"), 1640.2),
+                       (build_channel("remote_udp", loss_prob=0.05), 1640.2)):
         assert _exact_mean(calibrate_processing(base, goal)) == \
             pytest.approx(goal, rel=1e-9)
     tuned = calibrate_processing(channel, target)
@@ -213,11 +233,14 @@ def test_calibrated_mean_is_exact_and_sampled():
 
 
 _BATCH_CHANNELS = (
-    remote_tcp(),
-    remote_udp(loss_prob=0.05),
-    remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5), loss_prob=0.3,
-               online=OnlinePenalty(enabled=True, mean_ms=100.0, std_ms=80.0)),
-    remote_tcp(rtt=RttDistribution.empirical([10.0, 20.0, 40.0])),
+    build_channel("remote_tcp"),
+    build_channel("remote_udp", loss_prob=0.05),
+    build_channel("remote_udp", rtt=RttDistribution.lognormal(40.0, sigma=0.5),
+                  loss_prob=0.3,
+                  online=OnlinePenalty(enabled=True, mean_ms=100.0,
+                                       std_ms=80.0)),
+    build_channel("remote_tcp",
+                  rtt=RttDistribution.empirical([10.0, 20.0, 40.0])),
 )
 
 
@@ -232,9 +255,8 @@ def _reference_auth_channel_draws(channel, gen, m):
     transfer = (setup * rtts[:, 0] + rtts[:, 1:].sum(axis=1) if setup
                 else rtts.sum(axis=1))
     packets = sessions * channel.packets_per_session
-    if channel.kind == chan_mod.REMOTE_TCP:
-        transfer = transfer + packets * channel.ack_cost_ms
-    elif channel.loss_prob > 0.0 and packets:
+    transfer = transfer + packets * channel.ack_cost_ms
+    if channel.loss_prob > 0.0 and packets:
         losses = gen.geometric(1.0 - channel.loss_prob, (m, packets)) - 1
         top = int(losses.max(initial=0))
         if top:
@@ -247,8 +269,9 @@ def _reference_auth_channel_draws(channel, gen, m):
 
 
 @pytest.mark.parametrize("channel", _BATCH_CHANNELS + (
-    remote_udp(loss_prob=0.0, processing_phases=()),
-    remote_udp(rtt=RttDistribution.constant(30.0), loss_prob=0.9),))
+    build_channel("remote_udp", loss_prob=0.0, processing_phases=()),
+    build_channel("remote_udp", rtt=RttDistribution.constant(30.0),
+                  loss_prob=0.9),))
 def test_auth_channel_batch_equals_one_generator_at_a_time(channel):
     # the 450 rows fill more than one stack of sums; 0 draws nothing
     counts = [5, 0, 7, 450, 1, 30]
@@ -266,12 +289,14 @@ def test_auth_channel_batch_equals_one_generator_at_a_time(channel):
 
 
 @pytest.mark.parametrize("channel, target", [
-    (remote_tcp(), 2122.7),
-    (remote_udp(loss_prob=0.05), 1640.2),
-    (remote_udp(rtt=RttDistribution.lognormal(40.0, sigma=0.5),
-                online=OnlinePenalty(enabled=True, mean_ms=100.0,
-                                     std_ms=80.0)), 2500.0),
-], ids=["tcp", "udp_loss_0.05", "lognormal_online"])
+    (build_channel("remote_tcp"), 2122.7),
+    (build_channel("remote_udp", loss_prob=0.05), 1640.2),
+    (build_channel("remote_udp", rtt=RttDistribution.lognormal(40.0, sigma=0.5),
+                   online=OnlinePenalty(enabled=True, mean_ms=100.0,
+                                        std_ms=80.0)), 2500.0),
+    # a reliable relay waits on its losses as a datagram one does
+    (replace(build_channel("remote_tcp"), loss_prob=0.3), 12_000.0),
+], ids=["tcp", "udp_loss_0.05", "lognormal_online", "tcp_loss_0.3"])
 def test_batch_mean_is_calibrated_mean(channel, target):
     tuned = calibrate_processing(channel, target)
     transfer, processing = auth_channel_batch(
@@ -287,7 +312,8 @@ def test_batch_mean_is_calibrated_mean(channel, target):
 def test_expected_backoff_matches_series():
     b, cap = 2.0, 8.0
     for p in (0.0, 0.02, 0.3, 0.5, 0.9):  # at 0.5, b * p is 1
-        channel = remote_udp(rtt=RttDistribution.constant(0.0), loss_prob=p)
+        channel = build_channel("remote_udp", rtt=RttDistribution.constant(0.0),
+                                loss_prob=p)
         series, factor = 0.0, 1.0
         for a in range(2000):
             series += min(factor, cap) * p ** (a + 1)
@@ -302,8 +328,10 @@ def test_expected_backoff_matches_series():
 
 def test_same_seed_same_breakdown():
     online = OnlinePenalty(enabled=True)
-    for channel in (remote_tcp(), remote_udp(loss_prob=0.3, online=online),
-                    remote_tcp(rtt=RttDistribution.lognormal(50.0))):
+    for channel in (build_channel("remote_tcp"),
+                    build_channel("remote_udp", loss_prob=0.3, online=online),
+                    build_channel("remote_tcp",
+                                  rtt=RttDistribution.lognormal(50.0))):
         a = [np.concatenate(auth_channel_batch(
             channel, [RngStream(7, (2,)).gen], [1])).tolist() for _ in range(3)]
         b = [np.concatenate(auth_channel_batch(
@@ -358,22 +386,23 @@ def test_cli_commands_import_no_scipy(tmp_path):
 
 
 def test_calibration_deterministic():
-    a = calibrate_processing(remote_tcp(), 2122.7)
-    b = calibrate_processing(remote_tcp(), 2122.7)
+    a = calibrate_processing(build_channel("remote_tcp"), 2122.7)
+    b = calibrate_processing(build_channel("remote_tcp"), 2122.7)
     assert a.processing_phases == b.processing_phases
 
 
 def test_calibration_infeasible_target():
     with pytest.raises(ConfigError):
-        calibrate_processing(remote_tcp(), 100.0)
-    bare = remote_udp(rtt=RttDistribution.constant(1.0), processing_phases=())
+        calibrate_processing(build_channel("remote_tcp"), 100.0)
+    bare = build_channel("remote_udp", rtt=RttDistribution.constant(1.0),
+                         processing_phases=())
     with pytest.raises(ConfigError):
         calibrate_processing(bare, 500.0)
 
 
 def test_degenerate_channel_is_all_zero():
-    channel = remote_udp(rtt=RttDistribution.constant(0.0), loss_prob=0.0,
-                         processing_phases=())
+    channel = build_channel("remote_udp", rtt=RttDistribution.constant(0.0),
+                            loss_prob=0.0, processing_phases=())
     transfer, processing = auth_channel_batch(channel, [RngStream(0).gen], [1])
     assert (transfer[0], processing[0]) == (0.0, 0.0)
 
@@ -387,13 +416,14 @@ def test_build_channel_dispatch():
 
 def test_channel_validation():
     with pytest.raises(ConfigError):
-        remote_udp(loss_prob=1.5)
+        build_channel("remote_udp", loss_prob=1.5)
     with pytest.raises(ConfigError):
-        remote_udp(loss_prob=-0.1)
+        build_channel("remote_udp", loss_prob=-0.1)
     with pytest.raises(ConfigError):
-        remote_udp(loss_prob=1.0)  # no packet would ever be delivered
+        # no packet would ever be delivered
+        build_channel("remote_udp", loss_prob=1.0)
     with pytest.raises(ConfigError):
-        remote_tcp(sessions_auth=-1)
+        build_channel("remote_tcp", sessions_auth=-1)
     with pytest.raises(ConfigError):
         ProcessingPhase("SimBank", -1.0, 0.0)
     with pytest.raises(ConfigError):
@@ -403,8 +433,8 @@ def test_channel_validation():
     # a negative ack cost would break the two-RTT transfer floor
     for bad in (-30.0, -1e-9, math.inf, math.nan):
         with pytest.raises(ConfigError):
-            remote_tcp(ack_cost_ms=bad)
-    assert remote_tcp(ack_cost_ms=0.0).ack_cost_ms == 0.0
+            build_channel("remote_tcp", ack_cost_ms=bad)
+    assert build_channel("remote_tcp", ack_cost_ms=0.0).ack_cost_ms == 0.0
 
 
 def test_rtt_from_file_matches_builtin(tmp_path):
@@ -419,6 +449,6 @@ def test_rtt_from_file_matches_builtin(tmp_path):
 
 
 def test_channel_is_frozen():
-    channel = remote_tcp()
+    channel = build_channel("remote_tcp")
     with pytest.raises(Exception):
         channel.loss_prob = 0.5

@@ -23,6 +23,7 @@ import attachsim
 from attachsim import (
     ConfigError,
     DetectPolicy,
+    DeviceProfile,
     EmptyWindow,
     FleetEntry,
     Outcome,
@@ -41,7 +42,7 @@ from attachsim.channel import (
     OnlinePenalty,
     ProcessingPhase,
     RttDistribution,
-    remote_udp,
+    build_channel,
 )
 from attachsim.cli import main
 from attachsim.core import (
@@ -760,8 +761,19 @@ _BAD_CONFIGS = {
     "negative_algorithm_std": _with(("fleet",), [{"profile": dict(
         _INLINE, auth_algorithm={"name": "XorTest", "latency_std_ms": -1.0}),
         "count": 1}]),
+    # an entry for a step the profile does not run would go unread
+    "step_not_run": _with(("fleet",), [{"profile": dict(
+        _INLINE, steps=dict(_INLINE["steps"], IdentityRequest=[900.0, 0.0])),
+        "count": 1}]),
+    # a coupled profile has no relay to calibrate
+    "coupled_calibration_target": _with(("fleet",), [{"profile": dict(
+        _INLINE, calibration_target_ms=100.0), "count": 1}]),
     "calibrate": _with(("calibrate",), "false"),
     "rtt": _with(("channels", "remote_tcp", "rtt"), "fast"),
+    # each rtt kind takes only its own keys
+    "rtt_other_kind_keys": _with(("channels", "remote_tcp", "rtt"), {
+        "kind": "constant", "value": 20.0, "sigma": 0.9, "median": 500.0,
+        "path": "/nonexistent"}),
     "online": _with(("channels", "remote_udp", "online"), [1]),
     "sessions_auth": _with(("channels", "remote_tcp", "sessions_auth"), "15"),
     "unused_channel_key": _with(("channels", "remote_udp", "bogus"), 1),
@@ -1079,6 +1091,24 @@ def test_config_channels_are_read_only_after_construction(tmp_path):
         tmp_path / "parsed").summary_path.read_text()
 
 
+def test_an_inline_profile_is_parsed_when_its_entry_is_made(tmp_path):
+    """An inline profile's object is held as the DeviceProfile it gives, so
+    an edit of it after construction, which would go unrun, is an error."""
+    inline = json.loads(json.dumps(dict(_INLINE, name="BareBones")))
+    cfg = ScenarioConfig(seed=1, fleet=(FleetEntry(inline, 1),),
+                         attaches_per_device=2)
+    assert isinstance(cfg.fleet[0].profile, DeviceProfile)
+    with pytest.raises(TypeError):
+        cfg.fleet[0].profile["steps"]["AuthenticationResponse"] = [5000.0, 0.0]
+    inline["steps"]["AuthenticationResponse"] = [5000.0, 0.0]
+    summary = run_scenario(cfg, tmp_path / "run").summary_path.read_text()
+    assert "5000" not in summary
+    assert cfg == parse_config(dict(MINIMAL, seed=1, attaches_per_device=2,
+                                    fleet=[{"profile": dict(_INLINE,
+                                                            name="BareBones"),
+                                            "count": 1}]))
+
+
 def test_a_channels_section_is_read_once_per_profile_using_it(tmp_path,
                                                              monkeypatch):
     """An empirical rtt file is read once for each profile whose relay it
@@ -1203,7 +1233,8 @@ _NON_FINITE = {
     "phase_std_ms": ("Gateway phase std_ms", lambda:
                      ProcessingPhase("Gateway", 1.0, math.inf)),
     "retransmit_timeout_ms": ("remote_udp retransmit_timeout_ms", lambda:
-                              remote_udp(retransmit_timeout_ms=math.nan)),
+                              build_channel("remote_udp",
+                                            retransmit_timeout_ms=math.nan)),
     "network_auth_timer_ms": ("network auth_timer_ms", lambda:
                               NetworkConfig(auth_timer_ms=math.nan)),
     "config_auth_timer_ms": ("network auth_timer_ms", lambda: ScenarioConfig(
